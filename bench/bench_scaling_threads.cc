@@ -1,10 +1,10 @@
 // Thread-scaling benchmark — compatibility wrapper over the scenario-matrix
 // runner (bench/runner.h). The sections this binary historically hard-coded
 // (batched encode, batched rotation, streaming aggregation, masked secagg,
-// framed sessions, the TCP server sweep, SIMD kernels, fused encode) now
-// live in bench/scenarios.cc and are enumerated by bench_matrix; this
-// wrapper replays the full matrix at the legacy axis values and re-emits
-// the historical outputs so existing CI plumbing keeps working unchanged:
+// framed sessions, the TCP server sweep, SIMD kernels) now live in
+// bench/scenarios.cc and are enumerated by bench_matrix; this wrapper
+// replays the full matrix at the legacy axis values and re-emits the
+// historical outputs so existing CI plumbing keeps working unchanged:
 //
 //   - the per-section `SPEEDUP_SUMMARY ...` lines CI greps,
 //   - the per-kernel `SIMD_KERNEL ...` lines CI greps,
@@ -140,25 +140,6 @@ void WriteLegacyJson(const char* path, Scale scale,
     std::fprintf(f, "],\n     \"bit_identical\": %s}%s\n",
                  section.bit_identical ? "true" : "false",
                  s + 1 < sections.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-
-  std::fprintf(f, "  \"encode_fused\": [\n");
-  const ScenarioReport* fused = report.Find("encode_fused");
-  const size_t fused_count = fused != nullptr ? fused->runs.size() : 0;
-  for (size_t s = 0; s < fused_count; ++s) {
-    const RunRecord& r = fused->runs[s];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"dim\": %zu, \"participants\": "
-                 "%zu,\n     \"unfused_seconds\": %.6e, \"fused_seconds\": "
-                 "%.6e,\n     \"unfused_eps\": %.6e, \"fused_eps\": %.6e,\n"
-                 "     \"fused_vs_unfused\": %.3f, \"bit_identical\": %s}%s\n",
-                 r.label.c_str(), r.params.dim, r.params.participants,
-                 r.Metric("unfused_seconds"), r.Metric("fused_seconds"),
-                 r.Metric("unfused_eps"), r.Metric("fused_eps"),
-                 r.Metric("fused_vs_unfused"),
-                 r.bit_identical ? "true" : "false",
-                 s + 1 < fused_count ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 
@@ -306,28 +287,6 @@ int Main(int argc, char** argv) {
                   "identical=%s\n",
                   r.label.c_str(), r.params.dim, r.Metric("speedup"),
                   r.bit_identical ? "yes" : "no");
-    }
-  }
-
-  const ScenarioReport* fused = report->Find("encode_fused");
-  if (fused != nullptr) {
-    for (const RunRecord& r : fused->runs) {
-      std::printf("\nFused encode pipeline (cpSGD, trials=8): dim=%zu, "
-                  "participants=%zu, single thread, dispatch=%s\n",
-                  r.params.dim, r.params.participants,
-                  smm::simd::Active().name);
-      PrintRow("  path",
-               {"unfused el/s", "fused el/s", "ratio", "identical"}, 22, 14);
-      PrintRow("  encode_fused",
-               {FormatSci(r.Metric("unfused_eps")),
-                FormatSci(r.Metric("fused_eps")),
-                FormatSci(r.Metric("fused_vs_unfused")),
-                r.bit_identical ? "yes" : "MISMATCH"},
-               22, 14);
-      std::printf("SPEEDUP_SUMMARY section=encode_fused dim=%zu "
-                  "participants=%zu fused_vs_unfused=%.2fx\n",
-                  r.params.dim, r.params.participants,
-                  r.Metric("fused_vs_unfused"));
     }
   }
 

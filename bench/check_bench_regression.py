@@ -194,19 +194,6 @@ def main(argv):
               f"t1_throughput_ratio={fmt_ratio(r1)} "
               f"t{s['threads'][-1]}_throughput_ratio={fmt_ratio(rn)}")
 
-    base_fused = section_map(baseline, "encode_fused")
-    for s in current.get("encode_fused", []):
-        b = base_fused.get(s["name"])
-        if b is None:
-            print(f"  BENCH_DIFF encode_fused={s['name']} (new section) "
-                  f"fused_vs_unfused={s['fused_vs_unfused']:.2f}x")
-            continue
-        r = s["fused_eps"] / b["fused_eps"]
-        print(f"  BENCH_DIFF encode_fused={s['name']} "
-              f"fused_throughput_ratio={fmt_ratio(r)} "
-              f"fused_vs_unfused={s['fused_vs_unfused']:.2f}x "
-              f"bit_identical={s['bit_identical']}")
-
     # TCP server throughput is wall-time over real sockets — informational
     # only, like the other wall-time sections.
     base_server = section_map(baseline, "server_sessions")

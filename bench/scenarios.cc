@@ -930,98 +930,6 @@ class SimdKernelsScenario : public Scenario {
   }
 };
 
-// ---------------------------------------------------------------------------
-// encode_fused: the fused three-sweep blocked encode pipeline vs the
-// historical per-pass EncodeBatchUnfused, single-threaded, on a
-// memory-bound cheap-noise cpSGD configuration — exactly the regime the
-// fusion targets. Bit-identity between the two paths is cross-checked.
-// ---------------------------------------------------------------------------
-
-class EncodeFusedScenario : public Scenario {
- public:
-  const char* name() const override { return "encode_fused"; }
-  const char* description() const override {
-    return "fused vs unfused single-thread encode pipeline (cpSGD)";
-  }
-
-  ScenarioAxes Axes(const RunOptions& options) override {
-    ScenarioAxes axes;
-    axes.mechanisms = {"cpsgd"};
-    axes.moduli = {{"pow2_16", uint64_t{1} << 16}};
-    axes.dims = {options.scale == Scale::kFast ? size_t{1} << 14
-                                               : size_t{1} << 16};
-    axes.participants = {8};
-    return axes;
-  }
-
-  StatusOr<std::vector<PointResult>> RunPoint(
-      const ScenarioPoint& point, const RunOptions& options) override {
-    mechanisms::CpSgdMechanism::Options o;
-    o.dim = point.dim;
-    o.gamma = 64.0;
-    o.l2_bound = 1.0;
-    o.binomial_trials = 8;  // Popcount-exact: one generator word per draw.
-    o.modulus = point.modulus;
-    o.rotation_seed = 101;
-    SMM_ASSIGN_OR_RETURN(auto mech, mechanisms::CpSgdMechanism::Create(o));
-    const auto inputs = MakeInputs(point.participants, point.dim);
-    const int repeats = Repeats(options, 5, 11);
-
-    // One timed run of either path with identical fresh streams; leaves the
-    // encodings in `out`. The workspace and `out` rows persist across
-    // repeats (fully overwritten each run), so the timed region measures
-    // the encode pipeline, not the allocator faulting in fresh pages — the
-    // warm-up pass below pre-sizes both.
-    mechanisms::EncodeWorkspace workspace;
-    Status status = OkStatus();
-    const auto run_once = [&](bool fused,
-                              std::vector<std::vector<uint64_t>>& out) {
-      RandomGenerator rng(4242);
-      std::vector<RandomGenerator> streams =
-          MakeParticipantStreams(rng, inputs.size());
-      out.resize(inputs.size());
-      return TimeSeconds([&] {
-        const Status s =
-            fused ? mech->EncodeBatch(inputs, 0, inputs.size(),
-                                      streams.data(), workspace, &out)
-                  : mech->EncodeBatchUnfused(inputs, 0, inputs.size(),
-                                             streams.data(), workspace,
-                                             &out);
-        if (!s.ok()) status = s;
-      });
-    };
-
-    std::vector<std::vector<uint64_t>> unfused_out, fused_out;
-    run_once(false, unfused_out);  // Untimed warm-up: faults in workspace
-    run_once(true, fused_out);     // and output pages for both paths.
-    SMM_RETURN_IF_ERROR(status);
-    double unfused_seconds = 1e300;
-    double fused_seconds = 1e300;
-    for (int r = 0; r < repeats; ++r) {
-      unfused_seconds = std::min(unfused_seconds,
-                                 run_once(false, unfused_out));
-      fused_seconds = std::min(fused_seconds, run_once(true, fused_out));
-    }
-    SMM_RETURN_IF_ERROR(status);
-
-    const double elements = static_cast<double>(point.participants) *
-                            static_cast<double>(point.dim);
-    PointResult result;
-    result.label = "cpsgd_cheap_noise";
-    result.seconds = fused_seconds;
-    result.items = elements;
-    result.bit_identical = fused_out == unfused_out;
-    result.metrics = {
-        {"unfused_seconds", unfused_seconds},
-        {"fused_seconds", fused_seconds},
-        {"unfused_eps", elements / unfused_seconds},
-        {"fused_eps", elements / fused_seconds},
-        {"fused_vs_unfused", unfused_seconds / fused_seconds},
-    };
-    return std::vector<PointResult>{std::move(result)};
-  }
-};
-
 }  // namespace
 
 void RegisterAllScenarios() {
@@ -1040,8 +948,6 @@ void RegisterAllScenarios() {
         [] { return std::make_unique<ServerSessionsScenario>(); });
     registry.Register(
         [] { return std::make_unique<SimdKernelsScenario>(); });
-    registry.Register(
-        [] { return std::make_unique<EncodeFusedScenario>(); });
     return true;
   }();
   (void)registered;

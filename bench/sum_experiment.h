@@ -174,6 +174,9 @@ inline double RunSumCpSgd(const std::vector<std::vector<double>>& inputs,
   o.l2_bound = cfg.radius;
   o.binomial_trials =
       static_cast<int64_t>(std::ceil(*trials / static_cast<double>(n)));
+  // cpSGD needs an even count; rounding up only adds noise, so the
+  // calibrated epsilon still holds.
+  o.binomial_trials += o.binomial_trials % 2;
   o.modulus = cfg.modulus;
   o.rotation_seed = cfg.rotation_seed;
   auto mech = mechanisms::CpSgdMechanism::Create(o);

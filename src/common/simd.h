@@ -248,7 +248,8 @@ inline void AddI64InPlace(int64_t* v, const int64_t* delta, size_t n) {
 /// happens for inputs a hair below an integer, e.g. -1e-300). The encoding
 /// is therefore bit-identical across dispatch paths and thread counts.
 /// Pass scale = 1.0 for plain stochastic rounding; multiplying by 1.0 is
-/// an IEEE identity, so the fused and unfused forms agree bitwise.
+/// an IEEE identity, so folding a scale in and scaling beforehand agree
+/// bitwise.
 void ScaleRoundStochasticInto(const double* x, size_t n, double scale,
                               RandomGenerator& rng, int64_t* out);
 

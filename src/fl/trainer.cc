@@ -257,6 +257,9 @@ Status FederatedTrainer::Calibrate() {
       options.l2_bound = d2;
       options.binomial_trials = static_cast<int64_t>(
           std::ceil(total_trials / static_cast<double>(batch)));
+      // cpSGD needs an even count; rounding up only adds noise, so the
+      // calibrated epsilon still holds.
+      options.binomial_trials += options.binomial_trials % 2;
       options.modulus = config_.modulus;
       options.rotation_seed = rotation_seed;
       SMM_ASSIGN_OR_RETURN(mechanism_,

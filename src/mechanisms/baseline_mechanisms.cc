@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/simd.h"
 #include "mechanisms/clipping.h"
 #include "mechanisms/conditional_rounding.h"
 
@@ -21,6 +20,36 @@ StatusOr<RotationCodec> MakeCodec(size_t dim, double gamma, uint64_t modulus,
   codec_options.rotation_seed = rotation_seed;
   codec_options.apply_rotation = apply_rotation;
   return RotationCodec::Create(codec_options);
+}
+
+/// The encode spec shared by the three L2 baselines: L2 clip to
+/// gamma * l2_bound, plain stochastic rounding, then `sampler`'s noise. The
+/// sampler lives in the heap-allocated mechanism and never moves, so the
+/// callback's pointer stays valid for the mechanism's lifetime.
+template <typename Sampler>
+FusedPerturbSpec L2ClipSpec(double gamma, double l2_bound, Sampler* sampler) {
+  FusedPerturbSpec spec;
+  spec.clip = FusedPerturbSpec::Clip::kL2;
+  spec.l2_threshold = gamma * l2_bound;
+  spec.sample_block = [sampler](size_t n, int64_t* out, RandomGenerator& rng) {
+    sampler->SampleBlock(n, out, rng);
+  };
+  return spec;
+}
+
+/// L2ClipSpec with DDG/Skellam conditional rounding against the Eq. (6)
+/// norm bound in place of plain stochastic rounding.
+template <typename Options, typename Sampler>
+FusedPerturbSpec ConditionalRoundSpec(const Options& options,
+                                      double norm_bound, bool track_rejections,
+                                      Sampler* sampler) {
+  FusedPerturbSpec spec =
+      L2ClipSpec(options.gamma, options.l2_bound, sampler);
+  spec.conditional_round = true;
+  spec.norm_bound = norm_bound;
+  spec.max_retries = options.max_rounding_retries;
+  spec.track_rejections = track_rejections;
+  return spec;
 }
 
 }  // namespace
@@ -51,38 +80,12 @@ StatusOr<std::unique_ptr<DdgMechanism>> DdgMechanism::Create(
 DdgMechanism::DdgMechanism(Options options, RotationCodec codec,
                            sampling::DiscreteGaussianSampler sampler,
                            double norm_bound)
-    : RotatedModularMechanism(std::move(codec)),
-      options_(options),
+    : RotatedModularMechanism(
+          std::move(codec),
+          ConditionalRoundSpec(options, norm_bound,
+                               /*track_rejections=*/true, &sampler_)),
       sampler_(std::move(sampler)),
-      norm_bound_(norm_bound) {
-  // Fused-pipeline description of PerturbRotatedInto. `this` is
-  // heap-allocated by Create and never moves.
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kL2;
-  spec.l2_threshold = options_.gamma * options_.l2_bound;
-  spec.conditional_round = true;
-  spec.norm_bound = norm_bound_;
-  spec.max_retries = options_.max_rounding_retries;
-  spec.track_rejections = true;
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    sampler_.SampleBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
-
-Status DdgMechanism::PerturbRotatedInto(RandomGenerator& rng,
-                                        EncodeWorkspace& workspace,
-                                        EncodeCounters& counters) {
-  L2Clip(workspace.real, options_.gamma * options_.l2_bound);
-  SMM_RETURN_IF_ERROR(ConditionallyRoundInto(
-      workspace.real, norm_bound_, options_.max_rounding_retries, rng,
-      &counters.rejections, workspace.ints));
-  const size_t n = workspace.ints.size();
-  workspace.noise.resize(n);
-  sampler_.SampleBlock(n, workspace.noise.data(), rng);
-  simd::AddI64InPlace(workspace.ints.data(), workspace.noise.data(), n);
-  return OkStatus();
-}
+      norm_bound_(norm_bound) {}
 
 // ---------------------------------------------------------------------------
 // AgarwalSkellamMechanism
@@ -110,39 +113,12 @@ AgarwalSkellamMechanism::Create(const Options& options) {
 AgarwalSkellamMechanism::AgarwalSkellamMechanism(
     Options options, RotationCodec codec, sampling::SkellamSampler sampler,
     double norm_bound)
-    : RotatedModularMechanism(std::move(codec)),
-      options_(options),
+    : RotatedModularMechanism(
+          std::move(codec),
+          ConditionalRoundSpec(options, norm_bound,
+                               /*track_rejections=*/false, &sampler_)),
       sampler_(std::move(sampler)),
-      norm_bound_(norm_bound) {
-  // Same fused spec as DdgMechanism with Skellam noise and no rejection
-  // tracking (matching the unfused path's nullptr rejections).
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kL2;
-  spec.l2_threshold = options_.gamma * options_.l2_bound;
-  spec.conditional_round = true;
-  spec.norm_bound = norm_bound_;
-  spec.max_retries = options_.max_rounding_retries;
-  spec.track_rejections = false;
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    sampler_.SampleBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
-
-Status AgarwalSkellamMechanism::PerturbRotatedInto(RandomGenerator& rng,
-                                                   EncodeWorkspace& workspace,
-                                                   EncodeCounters& counters) {
-  (void)counters;  // Rejections are not tracked for this mechanism.
-  L2Clip(workspace.real, options_.gamma * options_.l2_bound);
-  SMM_RETURN_IF_ERROR(ConditionallyRoundInto(
-      workspace.real, norm_bound_, options_.max_rounding_retries, rng,
-      /*rejections=*/nullptr, workspace.ints));
-  const size_t n = workspace.ints.size();
-  workspace.noise.resize(n);
-  sampler_.SampleBlock(n, workspace.noise.data(), rng);
-  simd::AddI64InPlace(workspace.ints.data(), workspace.noise.data(), n);
-  return OkStatus();
-}
+      norm_bound_(norm_bound) {}
 
 // ---------------------------------------------------------------------------
 // CpSgdMechanism
@@ -156,6 +132,10 @@ StatusOr<std::unique_ptr<CpSgdMechanism>> CpSgdMechanism::Create(
   if (!(options.l2_bound > 0.0)) {
     return InvalidArgumentError("l2_bound must be > 0");
   }
+  if (options.binomial_trials % 2 != 0) {
+    return InvalidArgumentError(
+        "binomial_trials must be even (odd counts bias the decoded sum)");
+  }
   SMM_ASSIGN_OR_RETURN(
       auto binomial,
       sampling::CenteredBinomialSampler::Create(options.binomial_trials));
@@ -165,47 +145,10 @@ StatusOr<std::unique_ptr<CpSgdMechanism>> CpSgdMechanism::Create(
 
 CpSgdMechanism::CpSgdMechanism(Options options, RotationCodec codec,
                                sampling::CenteredBinomialSampler binomial)
-    : RotatedModularMechanism(std::move(codec)),
-      options_(options),
-      binomial_(binomial) {
-  // Fused-pipeline description of PerturbRotatedInto: L2 clip + plain
-  // stochastic rounding + centered binomial noise.
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kL2;
-  spec.l2_threshold = options_.gamma * options_.l2_bound;
-  spec.conditional_round = false;
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    binomial_.SampleBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
-
-Status CpSgdMechanism::PerturbRotatedInto(RandomGenerator& rng,
-                                          EncodeWorkspace& workspace,
-                                          EncodeCounters& counters) {
-  (void)counters;  // cpSGD tracks no events beyond the shared overflow count.
-  L2Clip(workspace.real, options_.gamma * options_.l2_bound);
-  StochasticRoundInto(workspace.real, rng, workspace.ints);
-  const size_t n = workspace.ints.size();
-  workspace.noise.resize(n);
-  binomial_.SampleBlock(n, workspace.noise.data(), rng);
-  simd::AddI64InPlace(workspace.ints.data(), workspace.noise.data(), n);
-  return OkStatus();
-}
-
-StatusOr<std::vector<double>> CpSgdMechanism::DecodeSum(
-    const std::vector<uint64_t>& zm_sum, int num_participants) {
-  // The centered binomial has mean 0 only when N is even (N/2 integer);
-  // for odd N each participant contributes a +1/2 bias before centering,
-  // which we remove here.
-  SMM_ASSIGN_OR_RETURN(auto estimate, codec().Decode(zm_sum));
-  if (options_.binomial_trials % 2 != 0) {
-    const double bias = 0.5 * static_cast<double>(num_participants) /
-                        codec().gamma();
-    (void)bias;  // The rotation spreads it; left in place (matches cpSGD).
-  }
-  return estimate;
-}
+    : RotatedModularMechanism(
+          std::move(codec),
+          L2ClipSpec(options.gamma, options.l2_bound, &binomial_)),
+      binomial_(binomial) {}
 
 // ---------------------------------------------------------------------------
 // CentralGaussianBaseline

@@ -47,11 +47,6 @@ class DdgMechanism final : public RotatedModularMechanism {
   }
 
  protected:
-  /// L2 clip, conditional rounding (counting rejections), discrete Gaussian
-  /// noise.
-  Status PerturbRotatedInto(RandomGenerator& rng, EncodeWorkspace& workspace,
-                            EncodeCounters& counters) override;
-
   /// Publishes the rounding-rejection count on top of the shared overflow
   /// accounting.
   void PublishCounters(const EncodeCounters& counters) override {
@@ -61,13 +56,12 @@ class DdgMechanism final : public RotatedModularMechanism {
   }
 
  private:
-  /// Defined in the .cc: installs the FusedPerturbSpec (L2 clip +
+  /// Defined in the .cc: passes the FusedPerturbSpec (L2 clip +
   /// rejection-tracked conditional rounding + discrete-Gaussian noise
-  /// callback) alongside the member setup.
+  /// callback) to the base alongside the member setup.
   DdgMechanism(Options options, RotationCodec codec,
                sampling::DiscreteGaussianSampler sampler, double norm_bound);
 
-  Options options_;
   sampling::DiscreteGaussianSampler sampler_;
   double norm_bound_;
   /// Atomic so concurrent EncodeBatch shards never lose events.
@@ -96,32 +90,29 @@ class AgarwalSkellamMechanism final : public RotatedModularMechanism {
 
   double rounded_norm_bound() const { return norm_bound_; }
 
- protected:
-  /// L2 clip, conditional rounding, Skellam noise.
-  Status PerturbRotatedInto(RandomGenerator& rng, EncodeWorkspace& workspace,
-                            EncodeCounters& counters) override;
-
  private:
-  /// Defined in the .cc: installs the FusedPerturbSpec (L2 clip +
+  /// Defined in the .cc: passes the FusedPerturbSpec (L2 clip +
   /// conditional rounding without rejection tracking + Skellam noise
-  /// callback) alongside the member setup.
+  /// callback) to the base alongside the member setup.
   AgarwalSkellamMechanism(Options options, RotationCodec codec,
                           sampling::SkellamSampler sampler, double norm_bound);
 
-  Options options_;
   sampling::SkellamSampler sampler_;
   double norm_bound_;
 };
 
 /// cpSGD (Agarwal et al. 2018): rotate, scale, L2 clip, *unconditional*
 /// stochastic rounding, then centered binomial noise Binomial(N, 1/2) - N/2.
+/// N must be even: for odd N the centered binomial has mean +1/2, and the
+/// rotation concentrates that bias (H 1 = sqrt(d) e_0) on one coordinate of
+/// the decoded sum.
 class CpSgdMechanism final : public RotatedModularMechanism {
  public:
   struct Options {
     size_t dim = 0;
     double gamma = 1.0;
     double l2_bound = 1.0;
-    int64_t binomial_trials = 1;  ///< N: per-participant Bernoulli trials.
+    int64_t binomial_trials = 2;  ///< N: per-participant trials (even).
     uint64_t modulus = 256;
     uint64_t rotation_seed = 0;
     bool apply_rotation = true;
@@ -130,24 +121,13 @@ class CpSgdMechanism final : public RotatedModularMechanism {
   static StatusOr<std::unique_ptr<CpSgdMechanism>> Create(
       const Options& options);
 
-  /// Decode with the odd-trial bias note of cpSGD (overridden because the
-  /// estimate depends on the participant count).
-  StatusOr<std::vector<double>> DecodeSum(const std::vector<uint64_t>& zm_sum,
-                                          int num_participants) override;
-
- protected:
-  /// L2 clip, unconditional stochastic rounding, centered binomial noise.
-  Status PerturbRotatedInto(RandomGenerator& rng, EncodeWorkspace& workspace,
-                            EncodeCounters& counters) override;
-
  private:
-  /// Defined in the .cc: installs the FusedPerturbSpec (L2 clip + plain
-  /// stochastic rounding + centered-binomial noise callback) alongside the
-  /// member setup.
+  /// Defined in the .cc: passes the FusedPerturbSpec (L2 clip + plain
+  /// stochastic rounding + centered-binomial noise callback) to the base
+  /// alongside the member setup.
   CpSgdMechanism(Options options, RotationCodec codec,
                  sampling::CenteredBinomialSampler binomial);
 
-  Options options_;
   sampling::CenteredBinomialSampler binomial_;
 };
 

@@ -4,11 +4,26 @@
 #include <cmath>
 #include <utility>
 
-#include "common/simd.h"
-#include "mechanisms/clipping.h"
-#include "mechanisms/conditional_rounding.h"
-
 namespace smm::mechanisms {
+
+namespace {
+
+/// Same encode spec as SmmMechanism's with the noise callback swapped for
+/// the discrete Gaussian. The noiser lives in the heap-allocated mechanism
+/// and never moves, so the callback's pointer stays valid.
+FusedPerturbSpec MixtureSpec(const DgmMechanism::Options& options,
+                             DiscreteGaussianMixtureNoiser* noiser) {
+  FusedPerturbSpec spec;
+  spec.clip = FusedPerturbSpec::Clip::kSmm;
+  spec.smm_c = options.c;
+  spec.smm_delta_inf = std::max(1.0, std::floor(options.delta_inf));
+  spec.sample_block = [noiser](size_t n, int64_t* out, RandomGenerator& rng) {
+    noiser->SampleNoiseBlock(n, out, rng);
+  };
+  return spec;
+}
+
+}  // namespace
 
 StatusOr<DiscreteGaussianMixtureNoiser> DiscreteGaussianMixtureNoiser::Create(
     double sigma, sampling::SamplerMode mode) {
@@ -24,25 +39,6 @@ int64_t DiscreteGaussianMixtureNoiser::Perturb(double x,
   int64_t base = static_cast<int64_t>(floor_x);
   if (rng.Bernoulli(p)) base += 1;
   return base + sampler_.Sample(rng);
-}
-
-std::vector<int64_t> DiscreteGaussianMixtureNoiser::PerturbVector(
-    const std::vector<double>& x, RandomGenerator& rng) {
-  std::vector<int64_t> out;
-  std::vector<int64_t> noise;
-  PerturbVectorInto(x, rng, out, noise);
-  return out;
-}
-
-void DiscreteGaussianMixtureNoiser::PerturbVectorInto(
-    const std::vector<double>& x, RandomGenerator& rng,
-    std::vector<int64_t>& out, std::vector<int64_t>& noise) {
-  // The floor/ceil Bernoulli mixture is exactly stochastic rounding.
-  StochasticRoundInto(x, rng, out);
-  const size_t n = x.size();
-  noise.resize(n);
-  sampler_.SampleBlock(n, noise.data(), rng);
-  simd::AddI64InPlace(out.data(), noise.data(), n);
 }
 
 StatusOr<std::unique_ptr<DgmMechanism>> DgmMechanism::Create(
@@ -68,29 +64,9 @@ StatusOr<std::unique_ptr<DgmMechanism>> DgmMechanism::Create(
 
 DgmMechanism::DgmMechanism(Options options, RotationCodec codec,
                            DiscreteGaussianMixtureNoiser noiser)
-    : RotatedModularMechanism(std::move(codec)),
+    : RotatedModularMechanism(std::move(codec),
+                              MixtureSpec(options, &noiser_)),
       options_(options),
-      noiser_(std::move(noiser)) {
-  // Same fused spec as SmmMechanism with the noise callback swapped for the
-  // discrete Gaussian. `this` is heap-allocated by Create and never moves.
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kSmm;
-  spec.smm_c = options_.c;
-  spec.smm_delta_inf = std::max(1.0, std::floor(options_.delta_inf));
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    noiser_.SampleNoiseBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
-
-Status DgmMechanism::PerturbRotatedInto(RandomGenerator& rng,
-                                        EncodeWorkspace& workspace,
-                                        EncodeCounters& counters) {
-  (void)counters;  // DGM tracks no events beyond the shared overflow count.
-  SMM_RETURN_IF_ERROR(SmmClip(workspace.real, options_.c, options_.delta_inf));
-  noiser_.PerturbVectorInto(workspace.real, rng, workspace.ints,
-                            workspace.noise);
-  return OkStatus();
-}
+      noiser_(std::move(noiser)) {}
 
 }  // namespace smm::mechanisms

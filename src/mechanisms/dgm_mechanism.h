@@ -26,20 +26,9 @@ class DiscreteGaussianMixtureNoiser {
   /// Perturbs one value: floor(x) + Bernoulli(frac) + NZ(0, sigma^2).
   int64_t Perturb(double x, RandomGenerator& rng);
 
-  /// Algorithm 12 (dDGM): independent per-coordinate perturbation.
-  std::vector<int64_t> PerturbVector(const std::vector<double>& x,
-                                     RandomGenerator& rng);
-
-  /// Allocation-free PerturbVector: Bernoulli rounding phase, then one
-  /// discrete-Gaussian SampleBlock into `noise`, summed into `out`.
-  /// PerturbVector delegates here (same RNG consumption on both paths).
-  void PerturbVectorInto(const std::vector<double>& x, RandomGenerator& rng,
-                         std::vector<int64_t>& out,
-                         std::vector<int64_t>& noise);
-
-  /// The noise half of PerturbVectorInto on its own, for the fused encode
-  /// pipeline's blocked noise sweep (same blockwise RNG-consumption
-  /// guarantee as SkellamMixtureNoiser::SampleNoiseBlock).
+  /// n i.i.d. discrete-Gaussian draws into out[0..n), for the encode
+  /// pipeline's blocked noise sweep of Algorithm 12 (dDGM; same blockwise
+  /// RNG-consumption guarantee as SkellamMixtureNoiser::SampleNoiseBlock).
   void SampleNoiseBlock(size_t n, int64_t* out, RandomGenerator& rng) {
     sampler_.SampleBlock(n, out, rng);
   }
@@ -75,15 +64,10 @@ class DgmMechanism final : public RotatedModularMechanism {
 
   const Options& options() const { return options_; }
 
- protected:
-  /// The Algorithm 5 clip followed by the discrete-Gaussian mixture
-  /// perturbation of Algorithm 12.
-  Status PerturbRotatedInto(RandomGenerator& rng, EncodeWorkspace& workspace,
-                            EncodeCounters& counters) override;
-
  private:
-  /// Defined in the .cc: installs the FusedPerturbSpec (Algorithm 5 clip +
-  /// discrete-Gaussian noise callback) alongside the member setup.
+  /// Defined in the .cc: passes the FusedPerturbSpec (Algorithm 5 clip +
+  /// discrete-Gaussian noise callback) to the base alongside the member
+  /// setup.
   DgmMechanism(Options options, RotationCodec codec,
                DiscreteGaussianMixtureNoiser noiser);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/simd.h"
 #include "common/tuning.h"
@@ -33,102 +31,45 @@ size_t RotationTile() { return TunedTileRowsPerThread(); }
 /// coordinates in order regardless of blocking.
 constexpr size_t kFusedBlockElems = 2048;
 
-/// SMM_FORCE_UNFUSED=1 pins the historical per-pass encode pipeline — the
-/// escape hatch for debugging and for benchmarking fused vs unfused from
-/// the same binary. Read once, like the SIMD dispatch overrides.
-bool ForceUnfusedEncode() {
-  static const bool force = [] {
-    const char* env = std::getenv("SMM_FORCE_UNFUSED");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-  }();
-  return force;
-}
-
 }  // namespace
 
-Status DistributedSumMechanism::EncodeBatch(
-    const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
-    RandomGenerator* rng_streams, EncodeWorkspace& workspace,
-    std::vector<std::vector<uint64_t>>* out) {
-  (void)workspace;  // The fallback has no fused pipeline to reuse it in.
-  for (size_t i = begin; i < end; ++i) {
-    SMM_ASSIGN_OR_RETURN((*out)[i],
-                         EncodeParticipant(inputs[i], rng_streams[i]));
-  }
-  return OkStatus();
-}
-
-StatusOr<std::vector<uint64_t>> RotatedModularMechanism::EncodeParticipant(
+StatusOr<std::vector<uint64_t>> DistributedSumMechanism::EncodeParticipant(
     const std::vector<double>& x, RandomGenerator& rng) {
+  const std::vector<std::vector<double>> inputs = {x};
+  std::vector<std::vector<uint64_t>> out(1);
   EncodeWorkspace workspace;
-  EncodeCounters counters;
-  std::vector<uint64_t> out;
-  SMM_RETURN_IF_ERROR(codec_.RotateScaleInto(x, workspace.real));
-  SMM_RETURN_IF_ERROR(PerturbRotatedInto(rng, workspace, counters));
-  codec_.WrapInto(workspace.ints, &counters.overflow, out);
-  PublishCounters(counters);
-  return out;
+  SMM_RETURN_IF_ERROR(EncodeBatch(inputs, 0, 1, &rng, workspace, &out));
+  return std::move(out[0]);
 }
 
 Status RotatedModularMechanism::EncodeBatch(
     const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
     RandomGenerator* rng_streams, EncodeWorkspace& workspace,
     std::vector<std::vector<uint64_t>>* out) {
-  if (!fused_spec_.has_value() || ForceUnfusedEncode()) {
-    return EncodeBatchUnfused(inputs, begin, end, rng_streams, workspace, out);
-  }
   const size_t d = codec_.dim();
   EncodeCounters counters;
   const size_t rotation_tile = RotationTile();
   for (size_t tile = begin; tile < end; tile += rotation_tile) {
     const size_t tile_end = std::min(end, tile + rotation_tile);
     // Raw batched rotate (butterflies + sign flips only): normalization and
-    // gamma move into FusedEncodeRow's first blocked sweep. Rotation draws
-    // no randomness, so tiling never changes the encoding.
+    // gamma move into EncodeRow's first blocked sweep. Rotation draws no
+    // randomness, so tiling never changes the encoding.
     SMM_RETURN_IF_ERROR(codec_.RotateRawBatchInto(inputs, tile, tile_end,
                                                   workspace.batch));
     for (size_t i = tile; i < tile_end; ++i) {
       double* row = workspace.batch.data() + (i - tile) * d;
-      SMM_RETURN_IF_ERROR(FusedEncodeRow(row, rng_streams[i], workspace,
-                                         counters, (*out)[i]));
+      SMM_RETURN_IF_ERROR(
+          EncodeRow(row, rng_streams[i], workspace, counters, (*out)[i]));
     }
   }
   PublishCounters(counters);
   return OkStatus();
 }
 
-Status RotatedModularMechanism::EncodeBatchUnfused(
-    const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
-    RandomGenerator* rng_streams, EncodeWorkspace& workspace,
-    std::vector<std::vector<uint64_t>>* out) {
-  const size_t d = codec_.dim();
-  EncodeCounters counters;
-  const size_t rotation_tile = RotationTile();
-  for (size_t tile = begin; tile < end; tile += rotation_tile) {
-    const size_t tile_end = std::min(end, tile + rotation_tile);
-    // One batched rotate + scale pass over the whole tile. The per-row
-    // result is bit-identical to RotateScaleInto, and rotation draws no
-    // randomness, so tiling never changes the encoding.
-    SMM_RETURN_IF_ERROR(codec_.RotateScaleBatchInto(inputs, tile, tile_end,
-                                                    workspace.batch));
-    for (size_t i = tile; i < tile_end; ++i) {
-      const double* row = workspace.batch.data() + (i - tile) * d;
-      workspace.real.assign(row, row + d);
-      SMM_RETURN_IF_ERROR(PerturbRotatedInto(rng_streams[i], workspace,
-                                             counters));
-      codec_.WrapInto(workspace.ints, &counters.overflow, (*out)[i]);
-    }
-  }
-  PublishCounters(counters);
-  return OkStatus();
-}
-
-Status RotatedModularMechanism::FusedEncodeRow(double* row,
-                                               RandomGenerator& rng,
-                                               EncodeWorkspace& workspace,
-                                               EncodeCounters& counters,
-                                               std::vector<uint64_t>& out) {
-  const FusedPerturbSpec& spec = *fused_spec_;
+Status RotatedModularMechanism::EncodeRow(double* row, RandomGenerator& rng,
+                                          EncodeWorkspace& workspace,
+                                          EncodeCounters& counters,
+                                          std::vector<uint64_t>& out) {
   const size_t d = codec_.dim();
   const double norm_scale = codec_.wht_norm_scale();
   const double gamma = codec_.gamma();
@@ -137,16 +78,16 @@ Status RotatedModularMechanism::FusedEncodeRow(double* row,
   // Sweep 1 — finish the rotation and reduce the clip statistic, one
   // L1-resident block at a time: Hadamard normalization (skipped when the
   // codec left nothing unapplied) and the gamma scale are the same two IEEE
-  // multiplies per element the unfused path performs full-vector, and the
-  // chained reduce accumulates contributions in coordinate order, so the
-  // statistic matches the full-vector reduction bit-for-bit.
+  // multiplies per element RotationCodec::RotateScale performs full-vector,
+  // and the chained reduce accumulates contributions in coordinate order,
+  // so the statistic matches the full-vector reduction bit-for-bit.
   double reduced = 0.0;
   for (size_t b = 0; b < d; b += kFusedBlockElems) {
     const size_t n = std::min(kFusedBlockElems, d - b);
     double* blk = row + b;
     if (norm_scale != 1.0) simd::ScaleInPlace(blk, n, norm_scale);
     simd::ScaleInPlace(blk, n, gamma);
-    reduced = spec.clip == FusedPerturbSpec::Clip::kSmm
+    reduced = spec_.clip == FusedPerturbSpec::Clip::kSmm
                   ? SmmClipReduce(blk, n, reduced)
                   : L2NormSqReduce(blk, n, reduced);
   }
@@ -155,38 +96,38 @@ Status RotatedModularMechanism::FusedEncodeRow(double* row,
   // recomputes each coordinate's contribution from the unchanged row, or
   // multiplies by one precomputed scale), so blocking cannot change it; the
   // rounding draws are consumed strictly in coordinate order across blocks,
-  // exactly like the whole-row rounding of the unfused path. Conditional
+  // exactly like one whole-row StochasticRoundInto. Conditional
   // rounding accepts/rejects on the whole rounded row, so that variant
   // clips blockwise and then rounds in one unblocked call between sweeps.
   workspace.ints.resize(d);
-  if (spec.clip == FusedPerturbSpec::Clip::kSmm) {
-    const double scale = reduced > spec.smm_c ? spec.smm_c / reduced : 1.0;
+  if (spec_.clip == FusedPerturbSpec::Clip::kSmm) {
+    const double scale = reduced > spec_.smm_c ? spec_.smm_c / reduced : 1.0;
     for (size_t b = 0; b < d; b += kFusedBlockElems) {
       const size_t n = std::min(kFusedBlockElems, d - b);
-      SmmClipApply(row + b, n, scale, spec.smm_delta_inf);
+      SmmClipApply(row + b, n, scale, spec_.smm_delta_inf);
       simd::ScaleRoundStochasticInto(row + b, n, /*scale=*/1.0, rng,
                                      workspace.ints.data() + b);
     }
   } else {
     const double norm = std::sqrt(reduced);
-    const bool clip = norm > spec.l2_threshold && norm > 0.0;
-    const double scale = clip ? spec.l2_threshold / norm : 1.0;
-    if (spec.conditional_round) {
+    const bool clip = norm > spec_.l2_threshold && norm > 0.0;
+    const double scale = clip ? spec_.l2_threshold / norm : 1.0;
+    if (spec_.conditional_round) {
       for (size_t b = 0; b < d; b += kFusedBlockElems) {
         const size_t n = std::min(kFusedBlockElems, d - b);
         if (clip) simd::ScaleInPlace(row + b, n, scale);
       }
       SMM_RETURN_IF_ERROR(ConditionallyRoundInto(
-          row, d, spec.norm_bound, spec.max_retries, rng,
-          spec.track_rejections ? &counters.rejections : nullptr,
+          row, d, spec_.norm_bound, spec_.max_retries, rng,
+          spec_.track_rejections ? &counters.rejections : nullptr,
           workspace.ints));
     } else {
       // The clip multiply folds into the rounding kernel's scale argument:
       // for clipped rows the kernel's g = x * scale is the identical IEEE
-      // product the separate apply pass would have stored, and unclipped
-      // rows multiply by exactly 1.0 just like the unfused
-      // StochasticRoundInto. Folding means the row is only *read* here, so
-      // its cache lines evict clean instead of costing a write-back.
+      // product a separate L2Clip pass would have stored, and unclipped
+      // rows multiply by exactly 1.0 just like StochasticRoundInto. Folding
+      // means the row is only *read* here, so its cache lines evict clean
+      // instead of costing a write-back.
       for (size_t b = 0; b < d; b += kFusedBlockElems) {
         const size_t n = std::min(kFusedBlockElems, d - b);
         simd::ScaleRoundStochasticInto(row + b, n, scale, rng,
@@ -198,13 +139,13 @@ Status RotatedModularMechanism::FusedEncodeRow(double* row,
   // Sweep 3 — noise + add + modular wrap straight into the output row. The
   // sample_block contract (n scalar draws in order) makes blockwise
   // sampling consume the rng identically to one whole-row SampleBlock, and
-  // running it only after sweep 2 preserves the historical global order:
+  // running it only after sweep 2 preserves the documented global order:
   // all rounding draws, then all noise draws.
   out.resize(d);
   for (size_t b = 0; b < d; b += kFusedBlockElems) {
     const size_t n = std::min(kFusedBlockElems, d - b);
     workspace.noise.resize(n);
-    spec.sample_block(n, workspace.noise.data(), rng);
+    spec_.sample_block(n, workspace.noise.data(), rng);
     // Accumulate into the block-sized noise buffer (L1-resident across
     // blocks) rather than the row-sized ints buffer: int64 addition
     // commutes, so noise + rounded is the same sum, but the ints row is

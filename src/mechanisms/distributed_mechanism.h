@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -16,12 +15,11 @@
 namespace smm::mechanisms {
 
 /// Reusable scratch buffers for EncodeBatch. One workspace serves one thread:
-/// the batched encoders route every intermediate (rotated/clipped reals,
-/// rounded/perturbed integers, block-sampled noise) through these buffers,
-/// so steady-state encoding allocates nothing per participant.
+/// the encoder routes every intermediate (the batched-rotation tile, the
+/// rounded integers, block-sampled noise) through these buffers, so
+/// steady-state encoding allocates nothing per participant.
 struct EncodeWorkspace {
-  std::vector<double> real;    ///< Rotated/scaled/clipped coordinates.
-  std::vector<int64_t> ints;   ///< Rounded/perturbed integer coordinates.
+  std::vector<int64_t> ints;   ///< Rounded integer coordinates of one row.
   std::vector<int64_t> noise;  ///< Block-sampled noise draws.
   std::vector<double> batch;   ///< Row-major batched-rotation tile.
 };
@@ -34,16 +32,14 @@ struct EncodeCounters {
   int64_t rejections = 0;  ///< Conditional-rounding rejected attempts.
 };
 
-/// Describes the mechanism-specific middle of the *fused* encode pipeline —
-/// the data RotatedModularMechanism::EncodeBatch needs to run the
-/// clip/round/noise stages block by block on the mechanism's behalf instead
-/// of calling the whole-row PerturbRotatedInto hook. All five integer
+/// Describes the mechanism-specific middle of the encode pipeline — the data
+/// RotatedModularMechanism::EncodeBatch needs to run the clip/round/noise
+/// stages block by block on the mechanism's behalf. All five integer
 /// mechanisms share the same stage skeleton (a clip with one whole-row
 /// reduction, a rounding step, one noise block per coordinate), so the spec
 /// is pure data plus one noise callback; the blocked sweeps themselves live
-/// once, in the base class. Mechanisms install their spec at construction
-/// via set_fused_perturb_spec; a mechanism without a spec falls back to the
-/// unfused per-pass path.
+/// once, in the base class. Each mechanism passes its spec to the base
+/// constructor.
 struct FusedPerturbSpec {
   /// Which clip family the mechanism applies to the rotated row.
   enum class Clip { kSmm, kL2 };
@@ -54,7 +50,7 @@ struct FusedPerturbSpec {
 
   /// True for DDG/Agarwal-Skellam conditional rounding (whole-row
   /// accept/reject on the rounded norm — inherently unfusable, so the base
-  /// runs the historical whole-row loop between its blocked sweeps); false
+  /// runs one whole-row rounding call between its blocked sweeps); false
   /// for plain stochastic rounding, which fuses with the clip apply.
   bool conditional_round = false;
   double norm_bound = 0.0;  ///< conditional_round: the Eq. (6) bound.
@@ -64,8 +60,7 @@ struct FusedPerturbSpec {
   /// Fills out[0..n) with the mechanism's noise. Must consume `rng` exactly
   /// as n scalar sampler draws in order (the SampleBlock contract), so that
   /// calling it block by block across a row draws the identical stream as
-  /// one whole-row SampleBlock — the property that keeps the fused and
-  /// unfused pipelines bit-identical.
+  /// one whole-row SampleBlock.
   std::function<void(size_t n, int64_t* out, RandomGenerator& rng)>
       sample_block;
 };
@@ -80,12 +75,7 @@ class DistributedSumMechanism {
  public:
   virtual ~DistributedSumMechanism() = default;
 
-  /// Participant procedure: perturbs x (length dim()) and returns the
-  /// integer vector in Z_m^d destined for secure aggregation.
-  virtual StatusOr<std::vector<uint64_t>> EncodeParticipant(
-      const std::vector<double>& x, RandomGenerator& rng) = 0;
-
-  /// Batched participant procedure: encodes inputs[begin..end) into
+  /// Participant procedure: encodes inputs[begin..end) into
   /// (*out)[begin..end), drawing participant i's randomness exclusively from
   /// rng_streams[i] and reusing `workspace` scratch across participants.
   /// out must already have inputs.size() entries.
@@ -93,14 +83,17 @@ class DistributedSumMechanism {
   /// Contract: the encoding of participant i depends only on inputs[i] and
   /// rng_streams[i], so any partition of [0, n) into ranges — one per
   /// thread, each with its own workspace — yields bit-identical output.
-  /// Implementations override this with an allocation-free fused pipeline;
-  /// the default delegates to EncodeParticipant and consumes each stream
-  /// identically, so overriding never changes results, only speed.
   virtual Status EncodeBatch(const std::vector<std::vector<double>>& inputs,
                              size_t begin, size_t end,
                              RandomGenerator* rng_streams,
                              EncodeWorkspace& workspace,
-                             std::vector<std::vector<uint64_t>>* out);
+                             std::vector<std::vector<uint64_t>>* out) = 0;
+
+  /// Convenience for one participant: EncodeBatch on a one-row range with
+  /// its own workspace, returning x's vector in Z_m^d. Copies x, so hot
+  /// loops should call EncodeBatch (or EncodeBatchParallel) instead.
+  StatusOr<std::vector<uint64_t>> EncodeParticipant(
+      const std::vector<double>& x, RandomGenerator& rng);
 
   /// Server procedure: converts the aggregated Z_m sum into an unbiased
   /// estimate of sum_i x_i. num_participants is the count that contributed.
@@ -114,58 +107,35 @@ class DistributedSumMechanism {
   virtual size_t dim() const = 0;
 
   /// Coordinates whose encoded value fell outside [-m/2, m/2) across all
-  /// EncodeParticipant calls since Reset — the modular wrap-around events
-  /// that destroy utility at small bitwidths (Section 6.2).
+  /// encodes since Reset — the modular wrap-around events that destroy
+  /// utility at small bitwidths (Section 6.2).
   virtual int64_t overflow_count() const { return 0; }
   virtual void ResetOverflowCount() {}
 };
 
 /// The shared scaffold of all five integer mechanisms: every one rotates and
 /// scales through a RotationCodec, applies a mechanism-specific
-/// clip/round/perturb step, and reduces into Z_m. This base folds the
-/// formerly quintuplicated EncodeParticipant / EncodeBatch / DecodeSum /
-/// overflow-accounting bodies into one place; concrete mechanisms implement
-/// only PerturbRotatedInto (the middle of the pipeline).
+/// clip/round/perturb step described by its FusedPerturbSpec, and reduces
+/// into Z_m. Concrete mechanisms supply only the codec and the spec.
 ///
-/// EncodeBatch runs the *fused* blocked pipeline when the mechanism
-/// installed a FusedPerturbSpec (all five integer mechanisms do): rows are
-/// rotated through RotationCodec::RotateRawBatchInto in cache-bounded
-/// tiles, then each row is finished in three blocked sweeps of <= 16 KiB
-/// L1-resident blocks — (1) Hadamard normalization + gamma + clip
+/// EncodeBatch rotates rows through RotationCodec::RotateRawBatchInto in
+/// cache-bounded tiles, then finishes each row in three blocked sweeps of
+/// <= 16 KiB L1-resident blocks — (1) Hadamard normalization + gamma + clip
 /// reduction, (2) clip apply + stochastic-round prep + Bernoulli draws,
-/// (3) noise + add + modular wrap straight into the output row — instead of
-/// the seven-odd full-vector passes of the per-stage path. RNG draws are
-/// consumed in exactly the historical per-coordinate order (all rounding
-/// draws, then all noise draws, each in coordinate order), so the fused
-/// output is byte-identical to EncodeBatchUnfused and EncodeParticipant at
-/// every thread count and dispatch mode; encode_fused_test and the PR-1
-/// determinism suite pin this. The scalar EncodeParticipant path performs
-/// the identical arithmetic one row at a time through PerturbRotatedInto.
+/// (3) noise + add + modular wrap straight into the output row. RNG draws
+/// are consumed in the documented per-row order — all rounding draws, then
+/// all noise draws, each in coordinate order — so the output equals the
+/// whole-row composition RotateScale -> clip -> round -> SampleBlock ->
+/// Wrap at every thread count and dispatch mode; encode_fused_test pins
+/// this against a row-by-row reference encoder.
 class RotatedModularMechanism : public DistributedSumMechanism {
  public:
-  StatusOr<std::vector<uint64_t>> EncodeParticipant(
-      const std::vector<double>& x, RandomGenerator& rng) override;
-
   Status EncodeBatch(const std::vector<std::vector<double>>& inputs,
                      size_t begin, size_t end, RandomGenerator* rng_streams,
                      EncodeWorkspace& workspace,
                      std::vector<std::vector<uint64_t>>* out) override;
 
-  /// The historical per-pass batch encoder (rotate+scale tile, then one
-  /// whole-row PerturbRotatedInto + WrapInto per participant). EncodeBatch
-  /// delegates here when no FusedPerturbSpec is installed or when the
-  /// environment variable SMM_FORCE_UNFUSED=1 is set; it stays public so
-  /// tests and the bench harness can compare the fused pipeline against the
-  /// reference in one process. Consumes rng_streams identically to
-  /// EncodeBatch.
-  Status EncodeBatchUnfused(const std::vector<std::vector<double>>& inputs,
-                            size_t begin, size_t end,
-                            RandomGenerator* rng_streams,
-                            EncodeWorkspace& workspace,
-                            std::vector<std::vector<uint64_t>>* out);
-
-  /// Centered unwrap, inverse rotation, rescale (Algorithm 6). Mechanisms
-  /// whose estimate depends on the participant count override this.
+  /// Centered unwrap, inverse rotation, rescale (Algorithm 6).
   StatusOr<std::vector<double>> DecodeSum(const std::vector<uint64_t>& zm_sum,
                                           int num_participants) override;
 
@@ -179,18 +149,11 @@ class RotatedModularMechanism : public DistributedSumMechanism {
   }
 
  protected:
-  explicit RotatedModularMechanism(RotationCodec codec)
-      : codec_(std::move(codec)) {}
-
-  /// The mechanism-specific middle of the encode pipeline. On entry
-  /// workspace.real holds the rotated + scaled coordinates; implementations
-  /// clip/round/perturb them into workspace.ints, drawing randomness only
-  /// from `rng` (so any partition of participants across threads is
-  /// bit-identical) and adding events to `counters` instead of touching
-  /// shared state.
-  virtual Status PerturbRotatedInto(RandomGenerator& rng,
-                                    EncodeWorkspace& workspace,
-                                    EncodeCounters& counters) = 0;
+  /// The spec's sample_block may capture pointers into the concrete
+  /// mechanism, which never moves after construction (Create heap-allocates
+  /// it) and is fully constructed before any encode runs.
+  RotatedModularMechanism(RotationCodec codec, FusedPerturbSpec spec)
+      : codec_(std::move(codec)), spec_(std::move(spec)) {}
 
   /// Publishes one batch's counters to the shared atomics. The default
   /// publishes counters.overflow; mechanisms tracking more (e.g. rounding
@@ -199,26 +162,17 @@ class RotatedModularMechanism : public DistributedSumMechanism {
     overflow_count_.fetch_add(counters.overflow, std::memory_order_relaxed);
   }
 
-  const RotationCodec& codec() const { return codec_; }
-
-  /// Installs the fused-pipeline description. Call once, from the concrete
-  /// mechanism's constructor (the spec's sample_block may capture pointers
-  /// into the mechanism, which never moves after construction).
-  void set_fused_perturb_spec(FusedPerturbSpec spec) {
-    fused_spec_ = std::move(spec);
-  }
-
  private:
-  /// One row of the fused pipeline: `row` (length dim()) holds the raw
-  /// rotate output (unnormalized, un-gamma'd); runs the three blocked
-  /// sweeps described on the class and writes the wrapped residues into
-  /// `out`. Clobbers `row` and workspace.{ints,noise}.
-  Status FusedEncodeRow(double* row, RandomGenerator& rng,
-                        EncodeWorkspace& workspace, EncodeCounters& counters,
-                        std::vector<uint64_t>& out);
+  /// One row of the pipeline: `row` (length dim()) holds the raw rotate
+  /// output (unnormalized, un-gamma'd); runs the three blocked sweeps
+  /// described on the class and writes the wrapped residues into `out`.
+  /// Clobbers `row` and workspace.{ints,noise}.
+  Status EncodeRow(double* row, RandomGenerator& rng,
+                   EncodeWorkspace& workspace, EncodeCounters& counters,
+                   std::vector<uint64_t>& out);
 
   RotationCodec codec_;
-  std::optional<FusedPerturbSpec> fused_spec_;
+  FusedPerturbSpec spec_;
   /// Atomic so concurrent EncodeBatch shards never lose wrap-around events.
   std::atomic<int64_t> overflow_count_{0};
 };

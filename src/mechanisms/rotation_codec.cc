@@ -10,25 +10,6 @@
 
 namespace smm::mechanisms {
 
-namespace {
-
-/// The one gamma-scaling loop behind RotateScale{,Batch}Into and Decode
-/// (formerly three scattered copies): forward multiplies by gamma, inverse
-/// divides by it. Division is kept a true division (not a reciprocal
-/// multiply) so decode output is bit-identical to the historical loop; both
-/// directions run on the dispatched SIMD kernels.
-enum class GammaDir { kForward, kInverse };
-
-void ApplyGamma(std::vector<double>& v, double gamma, GammaDir dir) {
-  if (dir == GammaDir::kForward) {
-    simd::ScaleInPlace(v.data(), v.size(), gamma);
-  } else {
-    simd::UnscaleInPlace(v.data(), v.size(), gamma);
-  }
-}
-
-}  // namespace
-
 StatusOr<RotationCodec> RotationCodec::Create(const Options& options) {
   if (options.dim == 0 || !IsPowerOfTwo(options.dim)) {
     return InvalidArgumentError("codec dimension must be a power of two");
@@ -50,55 +31,25 @@ StatusOr<RotationCodec> RotationCodec::Create(const Options& options) {
 
 StatusOr<std::vector<double>> RotationCodec::RotateScale(
     const std::vector<double>& x) const {
-  std::vector<double> g;
-  SMM_RETURN_IF_ERROR(RotateScaleInto(x, g));
-  return g;
-}
-
-Status RotationCodec::RotateScaleInto(const std::vector<double>& x,
-                                      std::vector<double>& g) const {
   if (x.size() != options_.dim) {
     return InvalidArgumentError("input dimension mismatch");
   }
+  std::vector<double> g;
   if (rotation_.has_value()) {
-    SMM_RETURN_IF_ERROR(rotation_->ApplyInto(x, g));
+    SMM_ASSIGN_OR_RETURN(g, rotation_->Apply(x));
   } else {
-    g.assign(x.begin(), x.end());
+    g = x;
   }
-  ApplyGamma(g, options_.gamma, GammaDir::kForward);
-  return OkStatus();
-}
-
-Status RotationCodec::RotateScaleBatchInto(
-    const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
-    std::vector<double>& flat, ThreadPool* pool) const {
-  const size_t d = options_.dim;
-  if (rotation_.has_value()) {
-    SMM_RETURN_IF_ERROR(
-        rotation_->ApplyBatchInto(inputs, begin, end, flat, pool));
-  } else {
-    if (begin > end || end > inputs.size()) {
-      return InvalidArgumentError("batch range out of bounds");
-    }
-    flat.resize((end - begin) * d);
-    for (size_t i = begin; i < end; ++i) {
-      if (inputs[i].size() != d) {
-        return InvalidArgumentError("input dimension mismatch");
-      }
-      std::copy(inputs[i].begin(), inputs[i].end(),
-                flat.begin() + static_cast<ptrdiff_t>((i - begin) * d));
-    }
-  }
-  ApplyGamma(flat, options_.gamma, GammaDir::kForward);
-  return OkStatus();
+  simd::ScaleInPlace(g.data(), g.size(), options_.gamma);
+  return g;
 }
 
 Status RotationCodec::RotateRawBatchInto(
     const std::vector<std::vector<double>>& inputs, size_t begin, size_t end,
-    std::vector<double>& flat, ThreadPool* pool) const {
+    std::vector<double>& flat) const {
   const size_t d = options_.dim;
   if (rotation_.has_value()) {
-    return rotation_->ApplyRawBatchInto(inputs, begin, end, flat, pool);
+    return rotation_->ApplyRawBatchInto(inputs, begin, end, flat);
   }
   if (begin > end || end > inputs.size()) {
     return InvalidArgumentError("batch range out of bounds");
@@ -122,15 +73,7 @@ double RotationCodec::wht_norm_scale() const {
 
 std::vector<uint64_t> RotationCodec::Wrap(const std::vector<int64_t>& values,
                                           int64_t* overflow_count) const {
-  std::vector<uint64_t> out;
-  WrapInto(values, overflow_count, out);
-  return out;
-}
-
-void RotationCodec::WrapInto(const std::vector<int64_t>& values,
-                             int64_t* overflow_count,
-                             std::vector<uint64_t>& out) const {
-  out.resize(values.size());
+  std::vector<uint64_t> out(values.size());
   // The kernel reduces into Z_m and counts coordinates outside the
   // representable centered window {-floor(m/2), ..., ceil(m/2) - 1} —
   // exactly what CenterLift inverts, for either modulus parity.
@@ -139,6 +82,7 @@ void RotationCodec::WrapInto(const std::vector<int64_t>& values,
   if (overflow_count != nullptr) {
     *overflow_count += static_cast<int64_t>(overflowed);
   }
+  return out;
 }
 
 StatusOr<std::vector<double>> RotationCodec::Decode(
@@ -158,7 +102,8 @@ StatusOr<std::vector<double>> RotationCodec::Decode(
   } else {
     out = std::move(y);
   }
-  ApplyGamma(out, options_.gamma, GammaDir::kInverse);
+  // A true division (not a reciprocal multiply), on the dispatched kernel.
+  simd::UnscaleInPlace(out.data(), out.size(), options_.gamma);
   return out;
 }
 

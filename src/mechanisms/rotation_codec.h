@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/status.h"
 #include "transform/random_rotation.h"
 
@@ -32,32 +31,17 @@ class RotationCodec {
   /// is disabled). x must have length dim().
   StatusOr<std::vector<double>> RotateScale(const std::vector<double>& x) const;
 
-  /// Allocation-free RotateScale for the batched encode path: writes into g,
-  /// reusing its capacity. x and g must not alias.
-  Status RotateScaleInto(const std::vector<double>& x,
-                         std::vector<double>& g) const;
-
-  /// Batched RotateScale: rotates and scales rows inputs[begin..end) into
-  /// `flat` (row-major, (end - begin) x dim(), resized as needed) with one
-  /// batched Walsh-Hadamard pass, sharding rows across `pool` when given.
-  /// Row r of `flat` is bit-identical to RotateScaleInto(inputs[begin + r])
-  /// for any thread count.
-  Status RotateScaleBatchInto(const std::vector<std::vector<double>>& inputs,
-                              size_t begin, size_t end,
-                              std::vector<double>& flat,
-                              ThreadPool* pool = nullptr) const;
-
-  /// The fused-pipeline front half of RotateScaleBatchInto: rotates rows
-  /// inputs[begin..end) into `flat` WITHOUT the Hadamard 1/sqrt(d)
-  /// normalization and WITHOUT the gamma scale (plain copy when rotation is
-  /// disabled). The caller finishes each row by multiplying every element
-  /// first by wht_norm_scale() and then by gamma() — per-element IEEE
-  /// multiplies it can fold into its own blocked sweep — after which row r
-  /// is bit-identical to RotateScaleBatchInto's row r.
+  /// The encode path's batched rotate: rotates rows inputs[begin..end) into
+  /// `flat` (row-major, (end - begin) x dim(), resized as needed) WITHOUT
+  /// the Hadamard 1/sqrt(d) normalization and WITHOUT the gamma scale
+  /// (plain copy when rotation is disabled). The caller finishes each row by
+  /// multiplying every element first by wht_norm_scale() and then by
+  /// gamma() — per-element IEEE multiplies it can fold into its own blocked
+  /// sweep — after which row r is bit-identical to
+  /// RotateScale(inputs[begin + r]).
   Status RotateRawBatchInto(const std::vector<std::vector<double>>& inputs,
                             size_t begin, size_t end,
-                            std::vector<double>& flat,
-                            ThreadPool* pool = nullptr) const;
+                            std::vector<double>& flat) const;
 
   /// The normalization factor RotateRawBatchInto leaves unapplied:
   /// 1/sqrt(dim) when rotation is enabled, exactly 1.0 when disabled (the
@@ -71,10 +55,6 @@ class RotationCodec {
   /// events).
   std::vector<uint64_t> Wrap(const std::vector<int64_t>& values,
                              int64_t* overflow_count) const;
-
-  /// Allocation-free Wrap: writes into out, reusing its capacity.
-  void WrapInto(const std::vector<int64_t>& values, int64_t* overflow_count,
-                std::vector<uint64_t>& out) const;
 
   /// Server side (Algorithm 6): centered unwrap of the aggregated Z_m sum,
   /// inverse rotation and division by gamma.

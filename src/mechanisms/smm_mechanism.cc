@@ -5,10 +5,29 @@
 #include <utility>
 
 #include "common/simd.h"
-#include "mechanisms/clipping.h"
 #include "mechanisms/conditional_rounding.h"
 
 namespace smm::mechanisms {
+
+namespace {
+
+/// Lines 3-10 of Algorithm 4 as an encode spec: the Algorithm 5 clip with
+/// the same floored Linf bound SmmClip derives, plain stochastic rounding,
+/// then Skellam noise. The noiser lives in the heap-allocated mechanism and
+/// never moves, so the callback's pointer stays valid for its lifetime.
+FusedPerturbSpec MixtureSpec(const SmmMechanism::Options& options,
+                             SkellamMixtureNoiser* noiser) {
+  FusedPerturbSpec spec;
+  spec.clip = FusedPerturbSpec::Clip::kSmm;
+  spec.smm_c = options.c;
+  spec.smm_delta_inf = std::max(1.0, std::floor(options.delta_inf));
+  spec.sample_block = [noiser](size_t n, int64_t* out, RandomGenerator& rng) {
+    noiser->SampleNoiseBlock(n, out, rng);
+  };
+  return spec;
+}
+
+}  // namespace
 
 StatusOr<SkellamMixtureNoiser> SkellamMixtureNoiser::Create(
     double lambda, sampling::SamplerMode mode) {
@@ -27,24 +46,14 @@ int64_t SkellamMixtureNoiser::Perturb(double x, RandomGenerator& rng) {
 
 std::vector<int64_t> SkellamMixtureNoiser::PerturbVector(
     const std::vector<double>& x, RandomGenerator& rng) {
-  std::vector<int64_t> out;
-  std::vector<int64_t> noise;
-  PerturbVectorInto(x, rng, out, noise);
-  return out;
-}
-
-void SkellamMixtureNoiser::PerturbVectorInto(const std::vector<double>& x,
-                                             RandomGenerator& rng,
-                                             std::vector<int64_t>& out,
-                                             std::vector<int64_t>& noise) {
   // Phase 1 (Lines 5-8 of Algorithm 2): the floor/ceil Bernoulli mixture is
   // exactly stochastic rounding.
-  StochasticRoundInto(x, rng, out);
+  std::vector<int64_t> out = StochasticRound(x, rng);
   // Phase 2 (Line 9): one Skellam block for the whole vector.
-  const size_t n = x.size();
-  noise.resize(n);
-  sampler_.SampleBlock(n, noise.data(), rng);
-  simd::AddI64InPlace(out.data(), noise.data(), n);
+  std::vector<int64_t> noise(x.size());
+  sampler_.SampleBlock(noise.size(), noise.data(), rng);
+  simd::AddI64InPlace(out.data(), noise.data(), out.size());
+  return out;
 }
 
 StatusOr<std::unique_ptr<SmmMechanism>> SmmMechanism::Create(
@@ -71,34 +80,9 @@ StatusOr<std::unique_ptr<SmmMechanism>> SmmMechanism::Create(
 
 SmmMechanism::SmmMechanism(Options options, RotationCodec codec,
                            SkellamMixtureNoiser noiser)
-    : RotatedModularMechanism(std::move(codec)),
+    : RotatedModularMechanism(std::move(codec),
+                              MixtureSpec(options, &noiser_)),
       options_(options),
-      noiser_(std::move(noiser)) {
-  // Fused-pipeline description of PerturbRotatedInto: the Algorithm 5 clip
-  // with the same floored Linf bound SmmClip derives, then plain stochastic
-  // rounding, then Skellam noise. `this` is heap-allocated by Create and
-  // never moves, so the callback's capture stays valid for the mechanism's
-  // lifetime.
-  FusedPerturbSpec spec;
-  spec.clip = FusedPerturbSpec::Clip::kSmm;
-  spec.smm_c = options_.c;
-  spec.smm_delta_inf = std::max(1.0, std::floor(options_.delta_inf));
-  spec.sample_block = [this](size_t n, int64_t* out, RandomGenerator& rng) {
-    noiser_.SampleNoiseBlock(n, out, rng);
-  };
-  set_fused_perturb_spec(std::move(spec));
-}
-
-Status SmmMechanism::PerturbRotatedInto(RandomGenerator& rng,
-                                        EncodeWorkspace& workspace,
-                                        EncodeCounters& counters) {
-  (void)counters;  // SMM tracks no events beyond the shared overflow count.
-  // Line 3 of Algorithm 4: the mixed-sensitivity clip of Algorithm 5.
-  SMM_RETURN_IF_ERROR(SmmClip(workspace.real, options_.c, options_.delta_inf));
-  // Lines 4-10: the Skellam mixture perturbation.
-  noiser_.PerturbVectorInto(workspace.real, rng, workspace.ints,
-                            workspace.noise);
-  return OkStatus();
-}
+      noiser_(std::move(noiser)) {}
 
 }  // namespace smm::mechanisms

@@ -28,21 +28,15 @@ class SkellamMixtureNoiser {
   /// Perturbs a single value (one iteration of Algorithm 1's loop body).
   int64_t Perturb(double x, RandomGenerator& rng);
 
-  /// Perturbs every coordinate independently (Algorithm 2 / dSMM).
+  /// Perturbs every coordinate independently (Algorithm 2 / dSMM): the
+  /// rounding phase (floor + Bernoulli, per coordinate) runs first, then
+  /// one Skellam SampleBlock — the same RNG order as the encode pipeline.
   std::vector<int64_t> PerturbVector(const std::vector<double>& x,
                                      RandomGenerator& rng);
 
-  /// Allocation-free PerturbVector: the rounding phase (floor + Bernoulli,
-  /// per coordinate) runs first, then one Skellam SampleBlock fills `noise`,
-  /// and the two are summed into `out`. PerturbVector delegates here, so the
-  /// scalar and batched encode paths consume the RNG identically.
-  void PerturbVectorInto(const std::vector<double>& x, RandomGenerator& rng,
-                         std::vector<int64_t>& out,
-                         std::vector<int64_t>& noise);
-
-  /// The noise half of PerturbVectorInto on its own — n i.i.d. Skellam
-  /// draws into out[0..n) — exposed for the fused encode pipeline's blocked
-  /// noise sweep. SampleBlock draws scalars in order, so blockwise calls
+  /// The noise half of PerturbVector on its own — n i.i.d. Skellam draws
+  /// into out[0..n) — exposed for the encode pipeline's blocked noise
+  /// sweep. SampleBlock draws scalars in order, so blockwise calls
   /// consume the rng identically to one whole-vector call.
   void SampleNoiseBlock(size_t n, int64_t* out, RandomGenerator& rng) {
     sampler_.SampleBlock(n, out, rng);
@@ -82,15 +76,9 @@ class SmmMechanism final : public RotatedModularMechanism {
 
   const Options& options() const { return options_; }
 
- protected:
-  /// Lines 3-10 of Algorithm 4: the mixed-sensitivity clip of Algorithm 5
-  /// followed by the Skellam mixture perturbation.
-  Status PerturbRotatedInto(RandomGenerator& rng, EncodeWorkspace& workspace,
-                            EncodeCounters& counters) override;
-
  private:
-  /// Defined in the .cc: installs the FusedPerturbSpec (Algorithm 5 clip +
-  /// Skellam noise callback) alongside the member setup.
+  /// Defined in the .cc: passes the FusedPerturbSpec (Algorithm 5 clip +
+  /// Skellam noise callback) to the base alongside the member setup.
   SmmMechanism(Options options, RotationCodec codec,
                SkellamMixtureNoiser noiser);
 

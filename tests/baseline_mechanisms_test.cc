@@ -103,8 +103,15 @@ TEST(CpSgdMechanismTest, CreateValidates) {
   o.dim = 64;
   o.binomial_trials = 0;
   EXPECT_FALSE(CpSgdMechanism::Create(o).ok());
+  // Odd N centers Binomial(N, 1/2) at +1/2, which the rotation piles onto
+  // one coordinate of the decoded sum: rejected.
+  o.binomial_trials = 65;
+  EXPECT_FALSE(CpSgdMechanism::Create(o).ok());
   o.binomial_trials = 8;
   EXPECT_TRUE(CpSgdMechanism::Create(o).ok());
+  CpSgdMechanism::Options defaults;
+  defaults.dim = 64;
+  EXPECT_TRUE(CpSgdMechanism::Create(defaults).ok());  // Default N is even.
 }
 
 TEST(CpSgdMechanismTest, CenteredBinomialNoiseIsZeroMean) {

@@ -67,12 +67,6 @@ def legacy_artifact(dispatch_eps=1.0e9, scale="fast"):
              "threads": [1, 8], "seconds": [1.0, 0.2],
              "bit_identical": True},
         ],
-        "encode_fused": [
-            {"name": "cpsgd_cheap_noise", "dim": 16384,
-             "unfused_seconds": 1.0, "fused_seconds": 0.5,
-             "unfused_eps": 1.0e6, "fused_eps": 2.0e6,
-             "fused_vs_unfused": 2.0, "bit_identical": True},
-        ],
         "simd_kernels": [
             {"name": "add_mod", "elements": 1 << 20,
              "scalar_eps": 5.0e8, "dispatch_eps": dispatch_eps,

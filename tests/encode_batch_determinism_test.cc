@@ -1,8 +1,8 @@
 // Property tests for the batched parallel encode pipeline: for every
-// mechanism, the overridden EncodeBatch must be bit-identical to the base
-// EncodeParticipant fallback, and the parallel path must be bit-identical
-// to the sequential path for 1, 2, and 8 threads — down to the decoded sum
-// and the overflow accounting.
+// mechanism, EncodeBatch and EncodeParticipant must be bit-identical to the
+// row-by-row ReferenceEncoder (tests/reference_encoder.h), and the parallel
+// path must be bit-identical to the sequential path for 1, 2, and 8
+// threads — down to the decoded sum and the overflow accounting.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,6 +17,7 @@
 #include "mechanisms/dgm_mechanism.h"
 #include "mechanisms/distributed_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
+#include "reference_encoder.h"
 #include "secagg/secure_aggregator.h"
 
 namespace smm::mechanisms {
@@ -39,6 +40,7 @@ std::vector<std::vector<double>> MakeInputs() {
 struct NamedMechanism {
   std::string name;
   std::unique_ptr<DistributedSumMechanism> mechanism;
+  ReferenceEncoder reference;  ///< Oracle built from the same Options.
 };
 
 std::vector<NamedMechanism> MakeAllMechanisms(sampling::SamplerMode mode) {
@@ -53,7 +55,8 @@ std::vector<NamedMechanism> MakeAllMechanisms(sampling::SamplerMode mode) {
     o.modulus = 1 << 12;
     o.rotation_seed = 7;
     o.sampler_mode = mode;
-    out.push_back({"SMM", SmmMechanism::Create(o).value()});
+    out.push_back({"SMM", SmmMechanism::Create(o).value(),
+                   ReferenceEncoder::For(o).value()});
   }
   {
     DgmMechanism::Options o;
@@ -65,7 +68,8 @@ std::vector<NamedMechanism> MakeAllMechanisms(sampling::SamplerMode mode) {
     o.modulus = 1 << 12;
     o.rotation_seed = 7;
     o.sampler_mode = mode;
-    out.push_back({"DGM", DgmMechanism::Create(o).value()});
+    out.push_back({"DGM", DgmMechanism::Create(o).value(),
+                   ReferenceEncoder::For(o).value()});
   }
   {
     DdgMechanism::Options o;
@@ -76,7 +80,8 @@ std::vector<NamedMechanism> MakeAllMechanisms(sampling::SamplerMode mode) {
     o.modulus = 1 << 12;
     o.rotation_seed = 7;
     o.sampler_mode = mode;
-    out.push_back({"DDG", DdgMechanism::Create(o).value()});
+    out.push_back({"DDG", DdgMechanism::Create(o).value(),
+                   ReferenceEncoder::For(o).value()});
   }
   {
     AgarwalSkellamMechanism::Options o;
@@ -87,7 +92,8 @@ std::vector<NamedMechanism> MakeAllMechanisms(sampling::SamplerMode mode) {
     o.modulus = 1 << 12;
     o.rotation_seed = 7;
     o.sampler_mode = mode;
-    out.push_back({"Skellam", AgarwalSkellamMechanism::Create(o).value()});
+    out.push_back({"Skellam", AgarwalSkellamMechanism::Create(o).value(),
+                   ReferenceEncoder::For(o).value()});
   }
   if (mode == sampling::SamplerMode::kApproximate) {
     // cpSGD has no exact-sampler variant.
@@ -98,7 +104,8 @@ std::vector<NamedMechanism> MakeAllMechanisms(sampling::SamplerMode mode) {
     o.binomial_trials = 128;
     o.modulus = 1 << 12;
     o.rotation_seed = 7;
-    out.push_back({"cpSGD", CpSgdMechanism::Create(o).value()});
+    out.push_back({"cpSGD", CpSgdMechanism::Create(o).value(),
+                   ReferenceEncoder::For(o).value()});
   }
   return out;
 }
@@ -125,30 +132,33 @@ EncodeRun RunEncode(DistributedSumMechanism& mechanism,
   return run;
 }
 
-TEST(EncodeBatchDeterminismTest, OverrideMatchesFallbackBitForBit) {
+TEST(EncodeBatchDeterminismTest, BatchMatchesReferenceEncoderBitForBit) {
   const auto inputs = MakeInputs();
   for (auto mode : {sampling::SamplerMode::kApproximate,
                     sampling::SamplerMode::kExact}) {
     for (auto& named : MakeAllMechanisms(mode)) {
-      // Fallback: the base-class EncodeBatch, which loops EncodeParticipant.
       RandomGenerator rng(kStreamSeed);
       std::vector<RandomGenerator> streams =
           MakeParticipantStreams(rng, inputs.size());
-      std::vector<std::vector<uint64_t>> fallback(inputs.size());
-      EncodeWorkspace workspace;
-      ASSERT_TRUE(named.mechanism
-                      ->DistributedSumMechanism::EncodeBatch(
-                          inputs, 0, inputs.size(), streams.data(), workspace,
-                          &fallback)
-                      .ok())
-          << named.name;
-      const int64_t fallback_overflows = named.mechanism->overflow_count();
+      const std::vector<std::vector<uint64_t>> reference =
+          named.reference.EncodeAll(inputs, streams).value();
 
-      named.mechanism->ResetOverflowCount();
       const EncodeRun batched =
           RunEncode(*named.mechanism, inputs, /*pool=*/nullptr);
-      EXPECT_EQ(fallback, batched.encoded) << named.name;
-      EXPECT_EQ(fallback_overflows, batched.overflows) << named.name;
+      EXPECT_EQ(reference, batched.encoded) << named.name;
+      EXPECT_EQ(named.reference.overflows(), batched.overflows) << named.name;
+
+      // The one-row convenience entry point runs the same pipeline.
+      RandomGenerator single_rng(kStreamSeed);
+      std::vector<RandomGenerator> single_streams =
+          MakeParticipantStreams(single_rng, inputs.size());
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        EXPECT_EQ(reference[i],
+                  named.mechanism->EncodeParticipant(inputs[i],
+                                                     single_streams[i])
+                      .value())
+            << named.name << " participant " << i;
+      }
     }
   }
 }

@@ -1,12 +1,12 @@
 // Property tests for the fused single-pass blocked encode pipeline: for
-// every mechanism, EncodeBatch (the fused three-sweep path) must be
-// bit-identical to EncodeBatchUnfused (the historical per-pass path) —
-// encodings, overflow accounting, and rounding-rejection accounting — across
-// the full modulus range, raw input lengths padded to non-trivial
+// every mechanism, EncodeBatch (the three-sweep blocked path) must be
+// bit-identical to the row-by-row ReferenceEncoder (tests/reference_encoder.h)
+// — encodings, overflow accounting, and rounding-rejection accounting —
+// across the full modulus range, raw input lengths padded to non-trivial
 // power-of-two dims, rows spanning multiple 2048-element fused blocks,
-// thread counts {1, 2, 8}, and every SIMD dispatch mode. Two independently
-// constructed mechanism instances run the two paths, so the counters can be
-// compared as totals without any reset plumbing.
+// thread counts {1, 2, 8}, and every SIMD dispatch mode. The oracle is built
+// from the same Options with its own codec and samplers, so the counters
+// compare as totals without any reset plumbing.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -23,6 +23,7 @@
 #include "mechanisms/dgm_mechanism.h"
 #include "mechanisms/distributed_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
+#include "reference_encoder.h"
 
 namespace smm::mechanisms {
 namespace {
@@ -61,11 +62,21 @@ std::vector<std::vector<double>> MakeInputs(size_t raw, size_t dim) {
   return inputs;
 }
 
+/// A mechanism and its oracle, built from the same Options.
+struct MechanismUnderTest {
+  std::unique_ptr<RotatedModularMechanism> mechanism;
+  ReferenceEncoder reference;
+};
+
+template <typename Mechanism>
+MechanismUnderTest Make(const typename Mechanism::Options& options) {
+  return {Mechanism::Create(options).value(),
+          ReferenceEncoder::For(options).value()};
+}
+
 struct MechanismFactory {
   std::string name;
-  std::function<std::unique_ptr<RotatedModularMechanism>(uint64_t m,
-                                                         size_t dim)>
-      make;
+  std::function<MechanismUnderTest(uint64_t m, size_t dim)> make;
 };
 
 std::vector<MechanismFactory> AllFactories() {
@@ -79,8 +90,7 @@ std::vector<MechanismFactory> AllFactories() {
                    o.lambda = 1.5;
                    o.modulus = m;
                    o.rotation_seed = 7;
-                   return std::unique_ptr<RotatedModularMechanism>(
-                       SmmMechanism::Create(o).value());
+                   return Make<SmmMechanism>(o);
                  }});
   out.push_back({"DGM", [](uint64_t m, size_t dim) {
                    DgmMechanism::Options o;
@@ -91,8 +101,7 @@ std::vector<MechanismFactory> AllFactories() {
                    o.sigma = 1.5;
                    o.modulus = m;
                    o.rotation_seed = 7;
-                   return std::unique_ptr<RotatedModularMechanism>(
-                       DgmMechanism::Create(o).value());
+                   return Make<DgmMechanism>(o);
                  }});
   out.push_back({"DDG", [](uint64_t m, size_t dim) {
                    DdgMechanism::Options o;
@@ -102,8 +111,7 @@ std::vector<MechanismFactory> AllFactories() {
                    o.sigma = 1.5;
                    o.modulus = m;
                    o.rotation_seed = 7;
-                   return std::unique_ptr<RotatedModularMechanism>(
-                       DdgMechanism::Create(o).value());
+                   return Make<DdgMechanism>(o);
                  }});
   out.push_back({"Skellam", [](uint64_t m, size_t dim) {
                    AgarwalSkellamMechanism::Options o;
@@ -113,8 +121,7 @@ std::vector<MechanismFactory> AllFactories() {
                    o.lambda = 1.5;
                    o.modulus = m;
                    o.rotation_seed = 7;
-                   return std::unique_ptr<RotatedModularMechanism>(
-                       AgarwalSkellamMechanism::Create(o).value());
+                   return Make<AgarwalSkellamMechanism>(o);
                  }});
   out.push_back({"cpSGD", [](uint64_t m, size_t dim) {
                    CpSgdMechanism::Options o;
@@ -124,8 +131,7 @@ std::vector<MechanismFactory> AllFactories() {
                    o.binomial_trials = 128;
                    o.modulus = m;
                    o.rotation_seed = 7;
-                   return std::unique_ptr<RotatedModularMechanism>(
-                       CpSgdMechanism::Create(o).value());
+                   return Make<CpSgdMechanism>(o);
                  }});
   return out;
 }
@@ -158,63 +164,56 @@ EncodeRun RunFused(RotatedModularMechanism& mechanism,
   return run;
 }
 
-/// Runs the historical per-pass EncodeBatchUnfused sequentially with the
-/// identical streams.
-EncodeRun RunUnfused(RotatedModularMechanism& mechanism,
-                     const std::vector<std::vector<double>>& inputs) {
+/// Runs the row-by-row reference encoder with the identical streams.
+EncodeRun RunReference(ReferenceEncoder& reference,
+                       const std::vector<std::vector<double>>& inputs) {
   RandomGenerator rng(kStreamSeed);
   std::vector<RandomGenerator> streams =
       MakeParticipantStreams(rng, inputs.size());
   EncodeRun run;
-  run.encoded.resize(inputs.size());
-  EncodeWorkspace workspace;
-  EXPECT_TRUE(mechanism
-                  .EncodeBatchUnfused(inputs, 0, inputs.size(), streams.data(),
-                                      workspace, &run.encoded)
-                  .ok());
-  run.overflows = mechanism.overflow_count();
-  run.rejections = Rejections(mechanism);
+  run.encoded = reference.EncodeAll(inputs, streams).value();
+  run.overflows = reference.overflows();
+  run.rejections = reference.rejections();
   return run;
 }
 
-TEST(EncodeFusedTest, FusedMatchesUnfusedAcrossModuliAndPaddedDims) {
+TEST(EncodeFusedTest, FusedMatchesReferenceAcrossModuliAndPaddedDims) {
   for (const auto& factory : AllFactories()) {
     for (uint64_t m : kModuli) {
       for (size_t raw : kRawLengths) {
         const size_t dim = PaddedDim(raw);
         const auto inputs = MakeInputs(raw, dim);
-        // Independent instances so the counters compare as totals.
-        auto fused = factory.make(m, dim);
-        auto unfused = factory.make(m, dim);
-        const EncodeRun f = RunFused(*fused, inputs, /*pool=*/nullptr);
-        const EncodeRun u = RunUnfused(*unfused, inputs);
-        EXPECT_EQ(u.encoded, f.encoded)
+        auto under_test = factory.make(m, dim);
+        const EncodeRun f =
+            RunFused(*under_test.mechanism, inputs, /*pool=*/nullptr);
+        const EncodeRun r = RunReference(under_test.reference, inputs);
+        EXPECT_EQ(r.encoded, f.encoded)
             << factory.name << " m=" << m << " raw=" << raw;
-        EXPECT_EQ(u.overflows, f.overflows)
+        EXPECT_EQ(r.overflows, f.overflows)
             << factory.name << " m=" << m << " raw=" << raw;
-        EXPECT_EQ(u.rejections, f.rejections)
+        EXPECT_EQ(r.rejections, f.rejections)
             << factory.name << " m=" << m << " raw=" << raw;
       }
     }
   }
 }
 
-TEST(EncodeFusedTest, FusedMatchesUnfusedAtEveryThreadAndDispatchMode) {
+TEST(EncodeFusedTest, FusedMatchesReferenceAtEveryThreadAndDispatchMode) {
   constexpr uint64_t kModulus = 1ull << 32;
   for (const auto& factory : AllFactories()) {
     for (size_t dim : {size_t{64}, size_t{512}}) {
       const auto inputs = MakeInputs(dim, dim);
-      // Scalar-dispatch unfused run: the reference everything else must hit.
+      // Scalar-dispatch reference run: what every fused run must hit.
       simd::SetDispatchModeForTest(simd::DispatchMode::kForceScalar);
-      auto reference_mechanism = factory.make(kModulus, dim);
-      const EncodeRun reference = RunUnfused(*reference_mechanism, inputs);
+      auto reference_encoder = factory.make(kModulus, dim).reference;
+      const EncodeRun reference = RunReference(reference_encoder, inputs);
       for (auto dispatch : {simd::DispatchMode::kForceScalar,
                             simd::DispatchMode::kForceAvx2,
                             simd::DispatchMode::kAuto}) {
         simd::SetDispatchModeForTest(dispatch);
         for (int threads : {1, 2, 8}) {
           ThreadPool pool(threads);
-          auto fused = factory.make(kModulus, dim);
+          auto fused = factory.make(kModulus, dim).mechanism;
           const EncodeRun f = RunFused(*fused, inputs, &pool);
           EXPECT_EQ(reference.encoded, f.encoded)
               << factory.name << " dim=" << dim << " threads=" << threads
@@ -239,13 +238,13 @@ TEST(EncodeFusedTest, MultiBlockRowsChainBitIdentically) {
   for (uint64_t m : {1ull << 16, 18446744073709551557ull}) {
     for (const auto& factory : AllFactories()) {
       const auto inputs = MakeInputs(kDim, kDim);
-      auto fused = factory.make(m, kDim);
-      auto unfused = factory.make(m, kDim);
-      const EncodeRun f = RunFused(*fused, inputs, /*pool=*/nullptr);
-      const EncodeRun u = RunUnfused(*unfused, inputs);
-      EXPECT_EQ(u.encoded, f.encoded) << factory.name << " m=" << m;
-      EXPECT_EQ(u.overflows, f.overflows) << factory.name << " m=" << m;
-      EXPECT_EQ(u.rejections, f.rejections) << factory.name << " m=" << m;
+      auto under_test = factory.make(m, kDim);
+      const EncodeRun f =
+          RunFused(*under_test.mechanism, inputs, /*pool=*/nullptr);
+      const EncodeRun r = RunReference(under_test.reference, inputs);
+      EXPECT_EQ(r.encoded, f.encoded) << factory.name << " m=" << m;
+      EXPECT_EQ(r.overflows, f.overflows) << factory.name << " m=" << m;
+      EXPECT_EQ(r.rejections, f.rejections) << factory.name << " m=" << m;
     }
   }
 }

@@ -232,19 +232,22 @@ TEST(RandomRotationTest, BatchApplyMatchesScalarBitForBit) {
     ASSERT_TRUE(y.ok());
     expected.push_back(std::move(*y));
   }
+  // The raw batch leaves out the Hadamard normalization; one multiply by
+  // 1/sqrt(d) per element is the identical IEEE operation Apply performs.
   std::vector<double> flat;
-  ASSERT_TRUE(rotation->ApplyBatchInto(xs, 1, 5, flat).ok());
+  ASSERT_TRUE(rotation->ApplyRawBatchInto(xs, 1, 5, flat).ok());
   ASSERT_EQ(flat.size(), 4 * d);
+  const double norm_scale = 1.0 / std::sqrt(static_cast<double>(d));
   for (size_t r = 0; r < 4; ++r) {
     for (size_t j = 0; j < d; ++j) {
-      ASSERT_EQ(flat[r * d + j], expected[r][j])
+      ASSERT_EQ(flat[r * d + j] * norm_scale, expected[r][j])
           << "row " << r << " coordinate " << j;
     }
   }
   for (int threads : {2, 8}) {
     ThreadPool pool(threads);
     std::vector<double> parallel;
-    ASSERT_TRUE(rotation->ApplyBatchInto(xs, 1, 5, parallel, &pool).ok());
+    ASSERT_TRUE(rotation->ApplyRawBatchInto(xs, 1, 5, parallel, &pool).ok());
     EXPECT_EQ(flat, parallel) << threads << " threads";
   }
 }
@@ -254,9 +257,9 @@ TEST(RandomRotationTest, BatchApplyValidates) {
   ASSERT_TRUE(rotation.ok());
   std::vector<double> flat;
   std::vector<std::vector<double>> xs(2, std::vector<double>(64, 1.0));
-  EXPECT_FALSE(rotation->ApplyBatchInto(xs, 1, 3, flat).ok());  // Range.
+  EXPECT_FALSE(rotation->ApplyRawBatchInto(xs, 1, 3, flat).ok());  // Range.
   xs[1].resize(32);  // Ragged row.
-  EXPECT_FALSE(rotation->ApplyBatchInto(xs, 0, 2, flat).ok());
+  EXPECT_FALSE(rotation->ApplyRawBatchInto(xs, 0, 2, flat).ok());
 }
 
 }  // namespace
