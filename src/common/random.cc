@@ -52,18 +52,6 @@ int64_t RandomGenerator::RandInt(int64_t n) {
   return static_cast<int64_t>(UniformUint64(static_cast<uint64_t>(n))) + 1;
 }
 
-SMM_NO_SANITIZE_UNSIGNED_WRAP
-uint64_t RandomGenerator::UniformUint64(uint64_t bound) {
-  assert(bound >= 1);
-  // Rejection sampling: draw 64 bits, reject the biased tail. The unsigned
-  // negation deliberately wraps: -bound == 2^64 - bound (mod 2^64).
-  const uint64_t threshold = -bound % bound;  // == (2^64 - bound) % bound
-  while (true) {
-    uint64_t r = gen_.Next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 double RandomGenerator::Gaussian(double mean, double stddev) {
   if (have_cached_gaussian_) {
     have_cached_gaussian_ = false;

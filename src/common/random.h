@@ -1,13 +1,15 @@
 #ifndef SMM_COMMON_RANDOM_H_
 #define SMM_COMMON_RANDOM_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-// For SMM_NO_SANITIZE_UNSIGNED_WRAP: the PRG core below wraps uint64_t by
-// design and is defined inline here so the per-draw cost in the encode hot
-// loops is a handful of instructions, not a cross-TU call.
+// For SMM_NO_SANITIZE_UNSIGNED_WRAP: the PRG core and the bounded block
+// draw below wrap uint64_t by design and are defined inline here so the
+// per-draw cost in the encode and masking hot loops is a handful of
+// instructions, not a cross-TU call.
 #include "common/math_util.h"
 
 namespace smm {
@@ -77,8 +79,37 @@ class RandomGenerator {
   /// (rejection sampling over the 64-bit space).
   int64_t RandInt(int64_t n);
 
-  /// Uniform integer in {0, ..., bound - 1}. Requires bound >= 1.
-  uint64_t UniformUint64(uint64_t bound);
+  /// Uniform integer in {0, ..., bound - 1}. Requires bound >= 1. One
+  /// element of UniformUint64Block, so both draw the identical stream.
+  uint64_t UniformUint64(uint64_t bound) {
+    uint64_t v;
+    UniformUint64Block(bound, &v, 1);
+    return v;
+  }
+
+  /// Fills out[0, n) with the next n draws of UniformUint64(bound), in
+  /// order: rejection sampling over the 64-bit space, rejecting raw draws
+  /// below 2^64 mod bound, then reducing mod bound. Inline and blocked
+  /// because it is the per-coordinate cost of pairwise mask expansion: the
+  /// rejection threshold (one 64-bit division) is hoisted out of the loop,
+  /// and a power-of-two bound, whose threshold is 0, takes a division-free
+  /// path that never rejects and reduces with a mask. The negation
+  /// `0 - bound` (== 2^64 - bound) wraps by design.
+  SMM_NO_SANITIZE_UNSIGNED_WRAP
+  void UniformUint64Block(uint64_t bound, uint64_t* out, size_t n) {
+    assert(bound >= 1);
+    if ((bound & (bound - 1)) == 0) {
+      const uint64_t mask = bound - 1;
+      for (size_t k = 0; k < n; ++k) out[k] = gen_.Next() & mask;
+      return;
+    }
+    const uint64_t threshold = (0 - bound) % bound;
+    for (size_t k = 0; k < n; ++k) {
+      uint64_t r = gen_.Next();
+      while (r < threshold) r = gen_.Next();
+      out[k] = r % bound;
+    }
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision (top 53 bits of
   /// one draw -> [0, 1)). Inline for the same reason as Xoshiro256::Next —

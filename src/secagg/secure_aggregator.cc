@@ -235,7 +235,7 @@ void MaskedAggregator::AccumulateMask(uint64_t seed, uint64_t m, int sign,
   const size_t n = acc.size();
   for (size_t base = 0; base < n; base += kTile) {
     const size_t len = n - base < kTile ? n - base : kTile;
-    for (size_t k = 0; k < len; ++k) draws[k] = prg.UniformUint64(m);
+    prg.UniformUint64Block(m, draws, len);
     if (sign > 0) {
       simd::AddModVec(acc.data() + base, draws, len, m);
     } else {
@@ -246,6 +246,11 @@ void MaskedAggregator::AccumulateMask(uint64_t seed, uint64_t m, int sign,
 
 uint64_t MaskedAggregator::PairSeed(int i, int j) const {
   return seeds_[std::min(i, j)][std::max(i, j)];
+}
+
+const std::vector<ShamirShare>& MaskedAggregator::PairShares(int i,
+                                                             int j) const {
+  return shares_[std::min(i, j)][std::max(i, j)];
 }
 
 StatusOr<std::vector<uint64_t>> MaskedAggregator::MaskInput(
@@ -299,22 +304,34 @@ Status MaskedAggregator::RecoverDroppedMasks(const std::vector<int>& survivors,
       recovery_pairs.emplace_back(i, j);
     }
   }
+  if (recovery_pairs.empty()) return OkStatus();
+  // Every pair seed is reconstructed from the shares of the same first
+  // `threshold` survivors, and every split issues share k at the same
+  // point, so the Lagrange weights depend on the survivor set alone: they
+  // are computed once here, before sharding, and only read by the workers.
+  // Each pair's seed is then a threshold-term ShamirCombine — the same
+  // weights-plus-combine path ShamirReconstruct runs for one secret.
+  const size_t threshold = static_cast<size_t>(options_.threshold);
+  const auto& first_pair = PairShares(recovery_pairs[0].first,
+                                      recovery_pairs[0].second);
+  std::vector<uint64_t> xs(threshold);
+  for (size_t k = 0; k < threshold; ++k) {
+    xs[k] = first_pair[static_cast<size_t>(survivors[k])].x;
+  }
+  SMM_ASSIGN_OR_RETURN(const std::vector<uint64_t> weights,
+                       ShamirLagrangeWeights(xs));
   const auto recover_range = [&](size_t begin, size_t end,
                                  std::vector<uint64_t>& acc) -> Status {
-    std::vector<ShamirShare> collected;
-    collected.reserve(survivors.size());
+    std::vector<uint64_t> ys(threshold);
     for (size_t p = begin; p < end; ++p) {
       const auto [i, j] = recovery_pairs[p];
-      const auto& pair_shares = shares_[std::min(i, j)][std::max(i, j)];
-      collected.clear();
-      for (int s : survivors) {
-        collected.push_back(pair_shares[static_cast<size_t>(s)]);
+      const auto& pair_shares = PairShares(i, j);
+      for (size_t k = 0; k < threshold; ++k) {
+        ys[k] = pair_shares[static_cast<size_t>(survivors[k])].y;
       }
-      SMM_ASSIGN_OR_RETURN(const uint64_t seed,
-                           ShamirReconstruct(collected, options_.threshold));
       // Survivor i added +mask for j > i expecting j to cancel it
       // (subtract); for j < i it added -mask (add back).
-      AccumulateMask(seed, m, j > i ? -1 : 1, acc);
+      AccumulateMask(ShamirCombine(weights, ys), m, j > i ? -1 : 1, acc);
     }
     return OkStatus();
   };

@@ -211,13 +211,17 @@ class MaskedAggregator final : public SecureAggregator {
 
   /// The deferred half of unmasking: removes from `sum` the leftover mask
   /// terms of every (survivor, dropped) pair by Shamir-reconstructing the
-  /// pair seed from the survivors' shares. Pairs shard across the pool;
-  /// requires |survivors| >= threshold (checked by the callers).
+  /// pair seed from the first `threshold` survivors' shares. The Lagrange
+  /// weights of those survivors are computed once per call; pairs shard
+  /// across the pool. Requires |survivors| >= threshold (checked by the
+  /// callers).
   Status RecoverDroppedMasks(const std::vector<int>& survivors, uint64_t m,
                              ThreadPool* pool,
                              std::vector<uint64_t>& sum) const;
 
-  uint64_t PairSeed(int i, int j) const;  // i < j.
+  // Pair (i, j) in either order.
+  uint64_t PairSeed(int i, int j) const;
+  const std::vector<ShamirShare>& PairShares(int i, int j) const;
 
   Options options_;
   /// seeds_[i][j] is the seed shared by pair (i, j), i < j (upper triangle).

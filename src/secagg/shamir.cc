@@ -1,6 +1,6 @@
 #include "secagg/shamir.h"
 
-#include <unordered_set>
+#include <cassert>
 
 namespace smm::secagg {
 
@@ -8,8 +8,15 @@ namespace {
 
 using uint128 = unsigned __int128;
 
+// a * b mod p for a, b < p. The product is below 2^122; since
+// 2^61 == 1 (mod p), its high part (bits 61 and up) and its low 61 bits
+// add to a congruent value below 2p, and one conditional subtraction
+// finishes the reduction — no 128-bit division.
 uint64_t MulMod(uint64_t a, uint64_t b) {
-  return static_cast<uint64_t>((static_cast<uint128>(a) * b) % kShamirPrime);
+  const uint128 product = static_cast<uint128>(a) * b;
+  const uint64_t folded = (static_cast<uint64_t>(product) & kShamirPrime) +
+                          static_cast<uint64_t>(product >> 61);
+  return folded >= kShamirPrime ? folded - kShamirPrime : folded;
 }
 
 uint64_t AddModP(uint64_t a, uint64_t b) {
@@ -22,19 +29,23 @@ uint64_t SubModP(uint64_t a, uint64_t b) {
   return a >= b ? a - b : a + kShamirPrime - b;
 }
 
-uint64_t PowMod(uint64_t base, uint64_t exp) {
+// Fermat inverse a^(p-2) mod p, for 0 < a < p.
+uint64_t InvMod(uint64_t a) {
   uint64_t result = 1;
-  base %= kShamirPrime;
-  while (exp > 0) {
-    if (exp & 1) result = MulMod(result, base);
-    base = MulMod(base, base);
-    exp >>= 1;
+  for (uint64_t exp = kShamirPrime - 2; exp > 0; exp >>= 1) {
+    if (exp & 1) result = MulMod(result, a);
+    a = MulMod(a, a);
   }
   return result;
 }
 
-// Fermat inverse: a^(p-2) mod p.
-uint64_t InvMod(uint64_t a) { return PowMod(a, kShamirPrime - 2); }
+Status CheckPoint(uint64_t x) {
+  if (x == 0 || x >= kShamirPrime) {
+    return InvalidArgumentError(
+        "share evaluation point must lie in [1, 2^61 - 1)");
+  }
+  return OkStatus();
+}
 
 }  // namespace
 
@@ -55,45 +66,85 @@ StatusOr<std::vector<ShamirShare>> ShamirSplit(uint64_t secret, int threshold,
   }
   std::vector<ShamirShare> shares(num_shares);
   for (int i = 0; i < num_shares; ++i) {
-    const uint64_t x = static_cast<uint64_t>(i) + 1;
-    // Horner evaluation.
-    uint64_t y = 0;
-    for (int j = threshold - 1; j >= 0; --j) {
-      y = AddModP(MulMod(y, x), coeffs[j]);
+    shares[i].x = static_cast<uint64_t>(i) + 1;
+  }
+  // Horner evaluation at every point at once, coefficient-major: the
+  // num_shares chains are independent, so their multiplies overlap instead
+  // of running one serial chain per share.
+  for (int j = threshold - 1; j >= 0; --j) {
+    for (ShamirShare& share : shares) {
+      share.y = AddModP(MulMod(share.y, share.x), coeffs[j]);
     }
-    shares[i] = ShamirShare{x, y};
   }
   return shares;
 }
 
+StatusOr<std::vector<uint64_t>> ShamirLagrangeWeights(
+    const std::vector<uint64_t>& xs) {
+  if (xs.empty()) return InvalidArgumentError("no evaluation points");
+  for (uint64_t x : xs) SMM_RETURN_IF_ERROR(CheckPoint(x));
+  const size_t t = xs.size();
+  // num_i = prod_{j != i} x_j and den_i = prod_{j != i} (x_j - x_i). With
+  // every point in [1, p), den_i is zero exactly when two points coincide.
+  std::vector<uint64_t> num(t, 1), den(t, 1);
+  for (size_t i = 0; i < t; ++i) {
+    for (size_t j = 0; j < t; ++j) {
+      if (j == i) continue;
+      num[i] = MulMod(num[i], xs[j]);
+      den[i] = MulMod(den[i], SubModP(xs[j], xs[i]));
+    }
+    if (den[i] == 0) {
+      return InvalidArgumentError("duplicate share evaluation point");
+    }
+  }
+  // Batch inversion: one Fermat inverse of den_0 ... den_{t-1}, then
+  // den_i^-1 = (den_0 ... den_i)^-1 * (den_0 ... den_{i-1}), walking down.
+  std::vector<uint64_t> prefix(t);
+  uint64_t product = 1;
+  for (size_t i = 0; i < t; ++i) {
+    prefix[i] = product;
+    product = MulMod(product, den[i]);
+  }
+  uint64_t inverse = InvMod(product);
+  std::vector<uint64_t> weights(t);
+  for (size_t i = t; i > 0; --i) {
+    weights[i - 1] = MulMod(num[i - 1], MulMod(inverse, prefix[i - 1]));
+    inverse = MulMod(inverse, den[i - 1]);
+  }
+  return weights;
+}
+
+uint64_t ShamirCombine(const std::vector<uint64_t>& weights,
+                       const std::vector<uint64_t>& ys) {
+  assert(ys.size() == weights.size());
+  uint64_t secret = 0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    secret = AddModP(secret, MulMod(ys[i], weights[i]));
+  }
+  return secret;
+}
+
 StatusOr<uint64_t> ShamirReconstruct(const std::vector<ShamirShare>& shares,
                                      int threshold) {
+  if (threshold < 1) return InvalidArgumentError("threshold must be >= 1");
   if (static_cast<int>(shares.size()) < threshold) {
     return FailedPreconditionError("not enough shares to reconstruct");
   }
-  std::unordered_set<uint64_t> seen;
-  for (int i = 0; i < threshold; ++i) {
-    if (!seen.insert(shares[i].x).second) {
-      return InvalidArgumentError("duplicate share evaluation point");
-    }
-    if (shares[i].x == 0) {
-      return InvalidArgumentError("share evaluation point must be nonzero");
+  for (const ShamirShare& share : shares) {
+    SMM_RETURN_IF_ERROR(CheckPoint(share.x));
+    if (share.y >= kShamirPrime) {
+      return InvalidArgumentError("share value must be < 2^61 - 1");
     }
   }
-  // Lagrange interpolation at x = 0 using the first `threshold` shares:
-  //   secret = sum_i y_i * prod_{j != i} x_j / (x_j - x_i)  (mod p).
-  uint64_t secret = 0;
-  for (int i = 0; i < threshold; ++i) {
-    uint64_t num = 1, den = 1;
-    for (int j = 0; j < threshold; ++j) {
-      if (j == i) continue;
-      num = MulMod(num, shares[j].x);
-      den = MulMod(den, SubModP(shares[j].x, shares[i].x));
-    }
-    const uint64_t basis = MulMod(num, InvMod(den));
-    secret = AddModP(secret, MulMod(shares[i].y, basis));
+  std::vector<uint64_t> xs(static_cast<size_t>(threshold));
+  std::vector<uint64_t> ys(static_cast<size_t>(threshold));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = shares[i].x;
+    ys[i] = shares[i].y;
   }
-  return secret;
+  SMM_ASSIGN_OR_RETURN(const std::vector<uint64_t> weights,
+                       ShamirLagrangeWeights(xs));
+  return ShamirCombine(weights, ys);
 }
 
 }  // namespace smm::secagg

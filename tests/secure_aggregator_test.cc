@@ -1,7 +1,10 @@
 #include "secagg/secure_aggregator.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "common/random.h"
 #include "secagg/modular.h"
 
@@ -183,6 +186,92 @@ TEST(MaskedAggregatorTest, DuplicateSurvivorRejected) {
   const uint64_t m = 256;
   std::vector<std::vector<uint64_t>> masked(2, std::vector<uint64_t>(4, 0));
   EXPECT_FALSE((*agg)->UnmaskSum(masked, {1, 1}, 4, m).ok());
+}
+
+// FNV-1a over the little-endian bytes of each word: a fixed, portable
+// digest for pinning protocol outputs bit for bit. It wraps by design; the
+// uio CI job instruments this binary with the unsigned-overflow sanitizer.
+SMM_NO_SANITIZE_UNSIGNED_WRAP
+uint64_t HashWords(uint64_t h, const std::vector<uint64_t>& words) {
+  for (uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Pins every byte the masked protocol produces: each participant's masked
+// vector (pair seeds, mask draws, masking arithmetic) and the dropout-
+// recovered stream sum (Shamir recovery of the dropped pairs' seeds and
+// their mask removal). The digests were recorded before the Shamir and
+// mask-draw arithmetic was optimised, so a change to either that moves one
+// output bit fails here. The moduli cover a power of two (the mask-draw
+// fast path), an odd prime, and two moduli above 2^63 (rejection-heavy
+// bounds near the top of the 64-bit range). d = 300 spans a full 256-draw
+// tile plus a partial one; the pool sizes cover sequential and sharded
+// masking and recovery.
+TEST(MaskedAggregatorTest, MaskedInputsAndRecoveredSumArePinned) {
+  constexpr int kParticipants = 24;
+  constexpr int kThreshold = 12;
+  constexpr size_t kDim = 300;
+  const std::vector<int> dropped = {2, 17, 23};
+  const struct {
+    uint64_t m;
+    uint64_t digest;
+  } kCases[] = {
+      {uint64_t{1} << 16, 0xd6f78ec615f971c2ULL},
+      {1000003, 0xe61ebb7a42e6b539ULL},
+      {(uint64_t{1} << 63) + 12345, 0x36fab718f707ead4ULL},
+      // 2^64 - 59, the largest 64-bit prime.
+      {~uint64_t{0} - 58, 0x1e0e0391d5423baaULL},
+  };
+  for (const auto& c : kCases) {
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "m=" << c.m << " threads="
+                                        << threads);
+      ThreadPool pool(threads);
+      MaskedAggregator::Options o;
+      o.num_participants = kParticipants;
+      o.threshold = kThreshold;
+      o.session_seed = 20261017;
+      auto agg = MaskedAggregator::Create(o);
+      ASSERT_TRUE(agg.ok());
+      const auto inputs = RandomInputs(kParticipants, kDim, c.m, c.m ^ 77);
+      uint64_t digest = 0xcbf29ce484222325ULL;
+      std::vector<std::vector<uint64_t>> masked;
+      for (int i = 0; i < kParticipants; ++i) {
+        auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], c.m,
+                                    &pool);
+        ASSERT_TRUE(mi.ok());
+        digest = HashWords(digest, *mi);
+        masked.push_back(std::move(*mi));
+      }
+      auto stream = (*agg)->Open(kDim, c.m, &pool);
+      ASSERT_TRUE(stream.ok());
+      std::vector<std::vector<uint64_t>> survivor_inputs;
+      for (int i = 0; i < kParticipants; ++i) {
+        if (std::find(dropped.begin(), dropped.end(), i) != dropped.end()) {
+          continue;
+        }
+        ASSERT_TRUE(
+            (*stream)->Absorb(i, masked[static_cast<size_t>(i)]).ok());
+        survivor_inputs.push_back(inputs[static_cast<size_t>(i)]);
+      }
+      auto sum = (*stream)->Finalize();
+      ASSERT_TRUE(sum.ok());
+      std::vector<uint64_t> expected(kDim, 0);
+      for (const auto& v : survivor_inputs) {
+        for (size_t k = 0; k < kDim; ++k) {
+          expected[k] = smm::AddMod(expected[k], v[k], c.m);
+        }
+      }
+      ASSERT_EQ(*sum, expected);
+      digest = HashWords(digest, *sum);
+      EXPECT_EQ(digest, c.digest) << std::hex << "0x" << digest;
+    }
+  }
 }
 
 class MaskedAggregatorParamTest
