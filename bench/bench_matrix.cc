@@ -1,43 +1,76 @@
 // bench_matrix: the scenario-matrix benchmark driver.
 //
 //   bench_matrix [--fast|--full] [--filter SUBSTR] [--repeats N]
-//                [--wide] [--json PATH] [--list]
-//   bench_matrix --calibrate [--tuning-out PATH] [--fast|--full]
+//                [--wide] [--json PATH] [--list] [--help]
 //
-// The default mode enumerates every registered scenario's axis matrix
-// (optionally name-filtered), prints one line per enumerated point, and
-// with --json writes the schema-versioned artifact that
-// bench/check_bench_regression.py diffs and bench/validate_bench_artifact.py
-// validates. Exit status is 1 if any point's bit-identity verdict failed.
-//
-// --calibrate measures this host's tile sizing, session thread count, and
-// per-kernel dispatch crossovers, and writes them as tuning.json (default
-// ./tuning.json, override with --tuning-out). Load the file at startup by
-// pointing SMM_TUNING at it, or pass it to LoadRuntimeTuningFromFile.
+// Enumerates every registered scenario's axis matrix (optionally
+// name-filtered), prints one line per enumerated point, and with --json
+// writes the schema-versioned artifact that bench/check_bench_regression.py
+// diffs and bench/validate_bench_artifact.py validates. Exit status is 1 if
+// any point's bit-identity verdict failed, and 2 on a usage error: an
+// unknown flag, a flag missing its value, or a --filter that selects no
+// scenario (so a renamed scenario cannot turn a CI gate into a no-op).
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/parallel.h"
 #include "common/simd.h"
-#include "common/tuning.h"
 #include "runner.h"
 
 namespace smm::bench {
 namespace {
 
-const char* ParseFlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
+constexpr const char* kUsage =
+    "usage: bench_matrix [--fast|--full] [--filter SUBSTR] [--repeats N] "
+    "[--wide] [--json PATH] [--list] [--help]\n";
 
-bool HasFlag(int argc, char** argv, const char* flag) {
+struct Flags {
+  bool help = false;
+  bool list = false;
+  bool wide = false;
+  const char* filter = "";
+  const char* json_path = nullptr;
+  const char* repeats = nullptr;
+};
+
+/// Parses argv into `flags`. Returns false (after printing why) on an
+/// unknown flag or a value flag at the end of argv. --fast / --full are
+/// accepted here and read by ParseScale.
+bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
+    const char* arg = argv[i];
+    const char** value = nullptr;
+    if (std::strcmp(arg, "--filter") == 0) {
+      value = &flags->filter;
+    } else if (std::strcmp(arg, "--json") == 0) {
+      value = &flags->json_path;
+    } else if (std::strcmp(arg, "--repeats") == 0) {
+      value = &flags->repeats;
+    } else if (std::strcmp(arg, "--help") == 0) {
+      flags->help = true;
+      continue;
+    } else if (std::strcmp(arg, "--list") == 0) {
+      flags->list = true;
+      continue;
+    } else if (std::strcmp(arg, "--wide") == 0) {
+      flags->wide = true;
+      continue;
+    } else if (std::strcmp(arg, "--fast") == 0 ||
+               std::strcmp(arg, "--full") == 0) {
+      continue;
+    } else {
+      std::fprintf(stderr, "bench_matrix: unknown flag '%s'\n", arg);
+      return false;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "bench_matrix: %s needs a value\n", arg);
+      return false;
+    }
+    *value = argv[++i];
   }
-  return false;
+  return true;
 }
 
 int ListScenarios() {
@@ -50,62 +83,54 @@ int ListScenarios() {
   return 0;
 }
 
-int Calibrate(Scale scale, const char* out_path) {
-  std::printf("calibrating runtime tuning (%s)...\n", ScaleName(scale));
-  auto tuning = RunCalibration(scale, /*verbose=*/true);
-  if (!tuning.ok()) {
-    std::printf("calibration failed: %s\n",
-                tuning.status().ToString().c_str());
-    return 1;
+bool FilterSelectsAny(const std::string& filter) {
+  for (const auto& scenario : ScenarioRegistry::Global().Instantiate()) {
+    if (std::string(scenario->name()).find(filter) != std::string::npos) {
+      return true;
+    }
   }
-  const std::string json = RuntimeTuningToJson(*tuning);
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::printf("cannot open %s for tuning output\n", out_path);
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s:\n%s", out_path, json.c_str());
-  std::printf("load it with SMM_TUNING=%s\n", out_path);
-  return 0;
+  return false;
 }
 
 int Main(int argc, char** argv) {
   RegisterAllScenarios();
-  const Scale scale = ParseScale(argc, argv);
-
-  if (HasFlag(argc, argv, "--list")) return ListScenarios();
-  if (HasFlag(argc, argv, "--calibrate")) {
-    const char* out = ParseFlagValue(argc, argv, "--tuning-out");
-    return Calibrate(scale, out != nullptr ? out : "tuning.json");
+  Flags flags;
+  if (!ParseFlags(argc, argv, &flags)) {
+    std::fprintf(stderr, "%s", kUsage);
+    return 2;
+  }
+  if (flags.help) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
+  if (flags.list) return ListScenarios();
+  if (!FilterSelectsAny(flags.filter)) {
+    std::printf("--filter '%s' selects no scenario; ", flags.filter);
+    ListScenarios();
+    return 2;
   }
 
   RunOptions options;
-  options.scale = scale;
-  options.wide = HasFlag(argc, argv, "--wide");
-  if (const char* repeats = ParseFlagValue(argc, argv, "--repeats")) {
-    options.repeats = std::atoi(repeats);
-  }
-  const char* filter = ParseFlagValue(argc, argv, "--filter");
-  const char* json_path = ParseFlagValue(argc, argv, "--json");
+  options.scale = ParseScale(argc, argv);
+  options.wide = flags.wide;
+  if (flags.repeats != nullptr) options.repeats = std::atoi(flags.repeats);
 
   std::printf("bench_matrix (%s). Hardware threads: %d, dispatch: %s\n",
-              ScaleName(scale), ThreadPool::HardwareThreads(),
+              ScaleName(options.scale), ThreadPool::HardwareThreads(),
               simd::Active().name);
-  auto report = RunMatrix(filter != nullptr ? filter : "", options);
+  auto report = RunMatrix(flags.filter, options);
   if (!report.ok()) {
     std::printf("matrix run failed: %s\n",
                 report.status().ToString().c_str());
     return 1;
   }
-  if (json_path != nullptr) {
-    const Status written = WriteMatrixJson(*report, json_path);
+  if (flags.json_path != nullptr) {
+    const Status written = WriteMatrixJson(*report, flags.json_path);
     if (!written.ok()) {
       std::printf("%s\n", written.ToString().c_str());
       return 1;
     }
-    std::printf("wrote JSON report to %s\n", json_path);
+    std::printf("wrote JSON report to %s\n", flags.json_path);
   }
   size_t points = 0;
   for (const auto& scenario : report->scenarios) {

@@ -12,7 +12,7 @@
 //     bench/check_bench_regression.py diffs against cached baselines,
 //   - exit status 1 on any bit-identity violation.
 //
-// New matrix-only capability (extra axis values, --filter, --calibrate, the
+// New matrix-only capability (extra axis values, --filter, the
 // schema-versioned artifact) lives in bench_matrix.
 #include <cstdio>
 #include <cstdlib>

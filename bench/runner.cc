@@ -24,7 +24,7 @@ const char* ScaleJsonName(Scale scale) {
 }
 
 /// Minimal JSON string escaping for the few free-form strings the artifact
-/// carries (labels, the tuning source path): quotes, backslashes, and
+/// carries (labels, axis values): quotes, backslashes, and
 /// control bytes. Axis names and scenario names are fixed identifiers.
 void WriteJsonString(std::FILE* f, const std::string& s) {
   std::fputc('"', f);
@@ -196,7 +196,6 @@ Status WriteMatrixJson(const MatrixReport& report, const std::string& path) {
   if (f == nullptr) {
     return InternalError("cannot open " + path + " for the JSON report");
   }
-  const RuntimeTuning tuning = GetRuntimeTuning();
   std::fprintf(f, "{\n  \"schema_version\": %d,\n", kMatrixSchemaVersion);
   std::fprintf(f, "  \"bench\": \"bench_matrix\",\n");
   std::fprintf(f, "  \"scale\": \"%s\",\n", ScaleJsonName(report.scale));
@@ -204,12 +203,6 @@ Status WriteMatrixJson(const MatrixReport& report, const std::string& path) {
                "  \"host\": {\"hardware_threads\": %d, "
                "\"simd_dispatch\": \"%s\"},\n",
                ThreadPool::HardwareThreads(), simd::Active().name);
-  std::fprintf(f, "  \"tuning\": {\"source\": ");
-  WriteJsonString(f, tuning.source);
-  std::fprintf(f,
-               ", \"tile_rows_per_thread\": %zu, "
-               "\"threads_per_session\": %d},\n",
-               tuning.tile_rows_per_thread, tuning.threads_per_session);
   std::fprintf(f, "  \"scenarios\": [\n");
   for (size_t s = 0; s < report.scenarios.size(); ++s) {
     const ScenarioReport& scenario = report.scenarios[s];

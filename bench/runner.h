@@ -8,7 +8,7 @@
 // collects every point's wall time / throughput / bit-identity verdict into
 // a MatrixReport, and serializes the report as one schema-versioned JSON
 // artifact. The bench_matrix binary drives the matrix directly (--filter,
-// --repeats, --json, --calibrate); bench_scaling_threads is a compatibility
+// --repeats, --json); bench_scaling_threads is a compatibility
 // wrapper that replays the same scenarios and re-emits the historical
 // artifact shape and SPEEDUP_SUMMARY / SIMD_KERNEL log lines.
 //
@@ -28,7 +28,6 @@
 
 #include "bench_util.h"
 #include "common/status.h"
-#include "common/tuning.h"
 
 namespace smm::bench {
 
@@ -183,12 +182,6 @@ StatusOr<MatrixReport> RunMatrix(const std::string& filter,
 /// Serializes `report` as the schema-versioned bench_matrix artifact
 /// (validated by bench/bench_matrix_schema.json).
 Status WriteMatrixJson(const MatrixReport& report, const std::string& path);
-
-/// Measures this host's tile sizing, session thread count, and per-kernel
-/// scalar/SIMD dispatch crossovers (defined in calibrate.cc). Restores the
-/// process-wide tuning it perturbed while sweeping; the caller decides
-/// whether to install or serialize the result.
-StatusOr<RuntimeTuning> RunCalibration(Scale scale, bool verbose);
 
 }  // namespace smm::bench
 

@@ -13,7 +13,6 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/simd.h"
-#include "common/tuning.h"
 #include "mechanisms/baseline_mechanisms.h"
 #include "mechanisms/distributed_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
@@ -473,8 +472,8 @@ class SessionMaskedScenario : public Scenario {
       session_options.modulus = m;
       session_options.pool = &pool;
       // Trusted in-process clients: absorb one sharded tile at a time (the
-      // calibrated per-thread tile sizing the encode paths share).
-      session_options.tile_rows = TunedTileRows(point.threads);
+      // per-thread tile sizing the encode paths share).
+      session_options.tile_rows = DefaultTileRows(point.threads);
       auto session =
           secagg::AggregationSession::Open(*aggregator, session_options);
       if (!session.ok()) {
@@ -606,7 +605,7 @@ class ShardedSumScenario : public Scenario {
       coordinator_options.modulus = m;
       coordinator_options.shard_count = shards;
       coordinator_options.pool = &pool;
-      coordinator_options.tile_rows = TunedTileRows(point.threads);
+      coordinator_options.tile_rows = DefaultTileRows(point.threads);
       auto round =
           secagg::ShardedCoordinator::Open(aggregator, coordinator_options);
       if (!round.ok()) {

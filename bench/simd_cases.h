@@ -1,12 +1,10 @@
 #ifndef SMM_BENCH_SIMD_CASES_H_
 #define SMM_BENCH_SIMD_CASES_H_
 
-// The per-kernel benchmark cases of the SIMD layer, shared by the
-// simd_kernels scenario (scalar-reference vs dispatched throughput with a
-// bit-identity cross-check) and the dispatch-crossover calibration sweep
-// (the same cases at small lengths). One SimdCaseSet owns every input and
-// output buffer for a given element count, so a case can be re-run at
-// arbitrary lengths without reallocating.
+// The per-kernel benchmark cases of the SIMD layer, run by the simd_kernels
+// scenario (scalar-reference vs dispatched throughput with a bit-identity
+// cross-check). One SimdCaseSet owns every input and output buffer for a
+// given element count, so each case re-runs without reallocating.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,10 +18,9 @@
 namespace smm::bench {
 
 struct SimdCase {
-  /// Legacy section spelling ("scale_round_prep" for the floor_fract
-  /// kernel); KernelIdName(id) gives the tuning.json spelling.
+  /// Kernel name in the artifact and SIMD_KERNEL log lines
+  /// ("scale_round_prep" for the floor_fract kernel).
   const char* name;
-  simd::KernelId id;
   /// Untimed per-repeat input restore (empty = none needed).
   std::function<void()> reset;
   /// One pass of the kernel over the case's buffers through `kernels`.
@@ -62,8 +59,6 @@ class SimdCaseSet {
     BuildCases();
   }
 
-  size_t n() const { return n_; }
-  uint64_t modulus() const { return m_; }
   const std::vector<SimdCase>& cases() const { return cases_; }
 
  private:
@@ -74,19 +69,19 @@ class SimdCaseSet {
       return reinterpret_cast<const unsigned char*>(v.data());
     };
     cases_.push_back(
-        {"wrap_centered", simd::KernelId::kWrapCentered, {},
+        {"wrap_centered", {},
          [this, n, m](const simd::Kernels& k) {
            k.wrap_centered_into(signed_vals_.data(), n, m, u64_out_.data());
          },
          out(u64_out_), n * sizeof(uint64_t)});
     cases_.push_back(
-        {"center_lift", simd::KernelId::kCenterLift, {},
+        {"center_lift", {},
          [this, n, m](const simd::Kernels& k) {
            k.center_lift_into(residues_.data(), n, m, i64_out_.data());
          },
          out(i64_out_), n * sizeof(int64_t)});
     cases_.push_back(
-        {"add_mod", simd::KernelId::kAddMod,
+        {"add_mod",
          [this, n] {
            std::memcpy(acc_.data(), residues_.data(), n * sizeof(uint64_t));
          },
@@ -95,7 +90,7 @@ class SimdCaseSet {
          },
          out(acc_), n * sizeof(uint64_t)});
     cases_.push_back(
-        {"sub_mod", simd::KernelId::kSubMod,
+        {"sub_mod",
          [this, n] {
            std::memcpy(acc_.data(), residues_.data(), n * sizeof(uint64_t));
          },
@@ -104,23 +99,23 @@ class SimdCaseSet {
          },
          out(acc_), n * sizeof(uint64_t)});
     cases_.push_back(
-        {"mod_reduce", simd::KernelId::kModReduce, {},
+        {"mod_reduce", {},
          [this, n, m](const simd::Kernels& k) {
            k.mod_reduce_into(residues_.data(), n, m, u64_out_.data());
          },
          out(u64_out_), n * sizeof(uint64_t)});
     cases_.push_back(
-        {"scale_round_prep", simd::KernelId::kFloorFract, {},
+        {"scale_round_prep", {},
          [this, n](const simd::Kernels& k) {
            k.floor_fract_scaled(reals_.data(), n, 64.0, flr_.data(),
                                 frac_.data());
          },
          out(frac_), n * sizeof(double)});
     // One full stage at the cache-block span the transform's phase-1 stages
-    // use (clamped so short calibration lengths still form one butterfly).
+    // use (clamped so a short case still forms one butterfly).
     const size_t h = n / 2 < size_t{1024} ? n / 2 : size_t{1024};
     cases_.push_back(
-        {"wht_butterfly", simd::KernelId::kWhtButterfly,
+        {"wht_butterfly",
          [this, n] {
            std::memcpy(real_work_.data(), reals_.data(), n * sizeof(double));
          },
@@ -129,7 +124,7 @@ class SimdCaseSet {
          },
          out(real_work_), n * sizeof(double)});
     cases_.push_back(
-        {"scale", simd::KernelId::kScale,
+        {"scale",
          [this, n] {
            std::memcpy(real_work_.data(), reals_.data(), n * sizeof(double));
          },

@@ -194,43 +194,9 @@ void SetDispatchModeForTest(DispatchMode mode) {
   g_active.store(nullptr, std::memory_order_release);
 }
 
-std::atomic<size_t> g_dispatch_crossover[kNumKernelIds] = {};
-
-namespace {
-/// Index-aligned with KernelId; the tuning.json spellings.
-constexpr const char* kKernelIdNames[kNumKernelIds] = {
-    "scale",       "unscale",     "wht_butterfly", "floor_fract",
-    "wrap_centered", "center_lift", "mod_reduce",    "add_mod",
-    "sub_mod",     "add_i64"};
-}  // namespace
-
-const char* KernelIdName(KernelId id) {
-  return kKernelIdNames[static_cast<int>(id)];
-}
-
-bool KernelIdFromName(const char* name, KernelId* out) {
-  for (int i = 0; i < kNumKernelIds; ++i) {
-    if (std::strcmp(name, kKernelIdNames[i]) == 0) {
-      *out = static_cast<KernelId>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
-void SetDispatchCrossover(KernelId id, size_t min_length) {
-  g_dispatch_crossover[static_cast<int>(id)].store(min_length,
-                                                   std::memory_order_relaxed);
-}
-
-size_t DispatchCrossover(KernelId id) {
-  return g_dispatch_crossover[static_cast<int>(id)].load(
-      std::memory_order_relaxed);
-}
-
 void ScaleRoundStochasticInto(const double* x, size_t n, double scale,
                               RandomGenerator& rng, int64_t* out) {
-  const Kernels& k = ForLength(KernelId::kFloorFract, n);
+  const Kernels& k = Active();
   // Tile the vectorizable floor/fract phase through stack scratch; the
   // Bernoulli phase is inherently serial (one rng draw per nonzero
   // fraction, in coordinate order — the exact consumption pattern of the

@@ -1,7 +1,6 @@
 #ifndef SMM_COMMON_SIMD_H_
 #define SMM_COMMON_SIMD_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -125,59 +124,6 @@ const Kernels& Active();
 enum class DispatchMode { kAuto, kForceScalar, kForceAvx2 };
 void SetDispatchModeForTest(DispatchMode mode);
 
-// ---------------------------------------------------------------------------
-// Per-kernel dispatch crossover. Vector kernels pay a fixed entry cost
-// (lane setup, the tail loop) that only amortizes past some length; the
-// calibration harness (bench_matrix --calibrate) measures that length per
-// kernel and RuntimeTuning installs it here. Below its crossover a wrapper
-// runs the scalar reference table instead of the dispatched one — a pure
-// perf decision, since the tables are bit-identical on every input. The
-// default crossover is 0 for every kernel: always dispatch, the historical
-// behavior.
-// ---------------------------------------------------------------------------
-
-/// Stable identifiers for the crossover table, one per Kernels entry.
-enum class KernelId : int {
-  kScale = 0,
-  kUnscale,
-  kWhtButterfly,
-  kFloorFract,
-  kWrapCentered,
-  kCenterLift,
-  kModReduce,
-  kAddMod,
-  kSubMod,
-  kAddI64,
-};
-inline constexpr int kNumKernelIds = 10;
-
-/// The tuning-file spelling of a kernel id ("scale", "add_mod", ...).
-const char* KernelIdName(KernelId id);
-
-/// Inverse of KernelIdName. Returns false on an unknown spelling.
-bool KernelIdFromName(const char* name, KernelId* out);
-
-/// Sets the minimum length at which `id` uses the dispatched table
-/// (0 restores always-dispatch). Relaxed-atomic store; safe to call while
-/// other threads encode, though intended for startup/test setup.
-void SetDispatchCrossover(KernelId id, size_t min_length);
-
-/// The current crossover for `id`.
-size_t DispatchCrossover(KernelId id);
-
-/// The crossover table. Internal to the ForLength wrappers; exposed only so
-/// the header inlines stay allocation- and lock-free.
-extern std::atomic<size_t> g_dispatch_crossover[kNumKernelIds];
-
-/// The table to use for an `n`-element call of kernel `id`: the scalar
-/// reference below the kernel's crossover, the dispatched table otherwise.
-inline const Kernels& ForLength(KernelId id, size_t n) {
-  return n < g_dispatch_crossover[static_cast<int>(id)].load(
-                 std::memory_order_relaxed)
-             ? ScalarKernels()
-             : Active();
-}
-
 /// Reduces a signed value into {0, ..., m-1} — the same arithmetic as
 /// secagg::ModReduce, re-stated here because common/ sits below secagg/ in
 /// the layering. Shared by the scalar reference kernels and the AVX2
@@ -191,52 +137,51 @@ inline uint64_t ModReduceScalarI64(int64_t value, uint64_t m) {
 }
 
 // ---------------------------------------------------------------------------
-// Convenience wrappers over the dispatch + crossover resolution. These are
-// the entry points the hot paths call; each is a thin forward through
-// ForLength except ScaleRoundStochasticInto, which tiles the vectorizable
-// floor/fract phase against the inherently serial Bernoulli draws.
+// Convenience wrappers over the dispatched table. These are the entry points
+// the hot paths call; each is a thin forward through Active() except
+// ScaleRoundStochasticInto, which tiles the vectorizable floor/fract phase
+// against the inherently serial Bernoulli draws.
 // ---------------------------------------------------------------------------
 
 inline void ScaleInPlace(double* v, size_t n, double factor) {
-  ForLength(KernelId::kScale, n).scale_inplace(v, n, factor);
+  Active().scale_inplace(v, n, factor);
 }
 
 inline void UnscaleInPlace(double* v, size_t n, double factor) {
-  ForLength(KernelId::kUnscale, n).unscale_inplace(v, n, factor);
+  Active().unscale_inplace(v, n, factor);
 }
 
 inline void WhtButterflyPass(double* v, size_t n, size_t h) {
-  ForLength(KernelId::kWhtButterfly, n).wht_butterfly_pass(v, n, h);
+  Active().wht_butterfly_pass(v, n, h);
 }
 
 inline size_t WrapCenteredInto(const int64_t* values, size_t n, uint64_t m,
                                uint64_t* out) {
-  return ForLength(KernelId::kWrapCentered, n)
-      .wrap_centered_into(values, n, m, out);
+  return Active().wrap_centered_into(values, n, m, out);
 }
 
 inline void CenterLiftInto(const uint64_t* values, size_t n, uint64_t m,
                            int64_t* out) {
-  ForLength(KernelId::kCenterLift, n).center_lift_into(values, n, m, out);
+  Active().center_lift_into(values, n, m, out);
 }
 
 inline void ModReduceInto(const uint64_t* values, size_t n, uint64_t m,
                           uint64_t* out) {
-  ForLength(KernelId::kModReduce, n).mod_reduce_into(values, n, m, out);
+  Active().mod_reduce_into(values, n, m, out);
 }
 
 inline void AddModVec(uint64_t* acc, const uint64_t* b, size_t n,
                       uint64_t m) {
-  ForLength(KernelId::kAddMod, n).add_mod_vec(acc, b, n, m);
+  Active().add_mod_vec(acc, b, n, m);
 }
 
 inline void SubModVec(uint64_t* acc, const uint64_t* b, size_t n,
                       uint64_t m) {
-  ForLength(KernelId::kSubMod, n).sub_mod_vec(acc, b, n, m);
+  Active().sub_mod_vec(acc, b, n, m);
 }
 
 inline void AddI64InPlace(int64_t* v, const int64_t* delta, size_t n) {
-  ForLength(KernelId::kAddI64, n).add_i64_inplace(v, delta, n);
+  Active().add_i64_inplace(v, delta, n);
 }
 
 /// Stochastic rounding of scale * x into out: each coordinate rounds to

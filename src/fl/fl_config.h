@@ -58,9 +58,10 @@ struct FlConfig {
 
   /// Dimension-range shard workers per aggregation round. 1 = today's
   /// single-session path; K > 1 splits each round across K narrower
-  /// per-shard streams stitched back by the coordinator merge; 0 = the
-  /// tuned default (TunedShardCount). A pure performance dial: the sharded
-  /// round is bit-identical to the unsharded one at every K.
+  /// per-shard streams stitched back by the coordinator merge. Must be
+  /// >= 1 (FederatedTrainer::Create rejects 0 and negatives). A pure
+  /// performance dial: the sharded round is bit-identical to the unsharded
+  /// one at every K.
   int shard_count = 1;
 
   /// Aggregation-round failures (deadline expiry, transport loss) the run

@@ -8,7 +8,6 @@
 #include "accounting/calibration.h"
 #include "accounting/mechanism_rdp.h"
 #include "common/bit_util.h"
-#include "common/tuning.h"
 #include "mechanisms/baseline_mechanisms.h"
 #include "mechanisms/clipping.h"
 #include "mechanisms/conditional_rounding.h"
@@ -68,25 +67,19 @@ StatusOr<std::unique_ptr<FederatedTrainer>> FederatedTrainer::Create(
   if (config.num_threads < 0) {
     return InvalidArgumentError("num_threads must be >= 0");
   }
-  if (config.shard_count < 0) {
-    return InvalidArgumentError("shard_count must be >= 0");
+  if (config.shard_count < 1) {
+    return InvalidArgumentError("shard_count must be >= 1");
   }
   auto trainer = std::unique_ptr<FederatedTrainer>(new FederatedTrainer(
       std::move(model), std::move(train), std::move(test), config));
-  // num_threads == 0 means "auto": the calibrated threads-per-session when
-  // a tuning was loaded (one trainer round is one aggregation session),
-  // else hardware concurrency — the historical resolution.
-  const int threads = config.num_threads == 0 ? TunedSessionThreads()
+  // num_threads == 0 means "auto": hardware concurrency.
+  const int threads = config.num_threads == 0 ? ThreadPool::HardwareThreads()
                                               : config.num_threads;
   if (threads > 1) trainer->pool_ = std::make_unique<ThreadPool>(threads);
   trainer->padded_dim_ = NextPowerOfTwo(trainer->model_.num_parameters());
-  // shard_count == 0 means "tuned": the calibrated shard_count when a
-  // tuning was loaded (default 1, the unsharded path). Resolving here pins
-  // one value for the whole run and lets Create reject plans no round could
-  // build (more shards than padded coordinates).
-  trainer->shard_count_ = config.shard_count == 0
-                              ? TunedShardCount()
-                              : static_cast<size_t>(config.shard_count);
+  // Create rejects plans no round could build (more shards than padded
+  // coordinates) up front rather than failing every round.
+  trainer->shard_count_ = static_cast<size_t>(config.shard_count);
   if (trainer->shard_count_ > trainer->padded_dim_) {
     return InvalidArgumentError(
         "shard_count exceeds the padded model dimension");
@@ -281,11 +274,10 @@ StatusOr<std::vector<double>> FederatedTrainer::AggregateRound(
   const int threads = pool_ != nullptr ? pool_->num_threads() : 1;
   // One tile of gradients/encodings per thread stays resident per round, so
   // peak round memory is O(threads·d) independent of how many participants
-  // the Poisson sample drew. The tile size comes from the runtime tuning
-  // (DefaultTileRows when none is loaded) and never affects results:
+  // the Poisson sample drew. The tile size never affects results:
   // gradients and encodings depend only on the participant, and the
   // streamed modular sum is exact.
-  const size_t tile_size = TunedTileRows(threads);
+  const size_t tile_size = DefaultTileRows(threads);
 
   // Integer mechanism path: one streaming aggregation session per round.
   // Tiles are encoded and absorbed as they are produced, so the round never

@@ -120,8 +120,8 @@ class FederatedTrainer {
 
   size_t padded_dim_ = 0;
   double sampling_rate_ = 0.0;
-  /// Resolved shard workers per round (config.shard_count, or the tuned
-  /// default when the config asked for 0). 1 = the unsharded stream.
+  /// Shard workers per round (config.shard_count). 1 = the unsharded
+  /// stream.
   size_t shard_count_ = 1;
 
   std::unique_ptr<mechanisms::DistributedSumMechanism> mechanism_;

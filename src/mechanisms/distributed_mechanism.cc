@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "common/parallel.h"
 #include "common/simd.h"
-#include "common/tuning.h"
 #include "mechanisms/clipping.h"
 #include "mechanisms/conditional_rounding.h"
 #include "secagg/session.h"
@@ -15,13 +15,6 @@
 namespace smm::mechanisms {
 
 namespace {
-
-/// Participants per batched-rotation tile in the shared EncodeBatch: bounds
-/// workspace.batch to RotationTile() * dim doubles per thread while still
-/// amortizing one batched Walsh-Hadamard dispatch over many rows. Sized by
-/// the runtime tuning (kTileRowsPerThread when none is loaded); the tile
-/// size never affects results (rotation consumes no randomness).
-size_t RotationTile() { return TunedTileRowsPerThread(); }
 
 /// Block size (in doubles / int64s) for the fused encode sweeps: 2048
 /// elements = 16 KiB, matching the Walsh-Hadamard kernel's cache block, so
@@ -48,9 +41,11 @@ Status RotatedModularMechanism::EncodeBatch(
     std::vector<std::vector<uint64_t>>* out) {
   const size_t d = codec_.dim();
   EncodeCounters counters;
-  const size_t rotation_tile = RotationTile();
-  for (size_t tile = begin; tile < end; tile += rotation_tile) {
-    const size_t tile_end = std::min(end, tile + rotation_tile);
+  // kTileRowsPerThread rows per batched rotate bound workspace.batch to
+  // that many rows of d doubles while amortizing one batched
+  // Walsh-Hadamard dispatch over many rows.
+  for (size_t tile = begin; tile < end; tile += kTileRowsPerThread) {
+    const size_t tile_end = std::min(end, tile + kTileRowsPerThread);
     // Raw batched rotate (butterflies + sign flips only): normalization and
     // gamma move into EncodeRow's first blocked sweep. Rotation draws no
     // randomness, so tiling never changes the encoding.
@@ -215,14 +210,14 @@ StatusOr<std::vector<double>> RunDistributedSum(
     const std::vector<std::vector<double>>& inputs, RandomGenerator& rng,
     ThreadPool* pool, size_t shard_count) {
   if (inputs.empty()) return InvalidArgumentError("no inputs");
+  if (shard_count == 0) return InvalidArgumentError("shard_count must be >= 1");
   const uint64_t m = mechanism.modulus();
   const int threads = pool != nullptr ? pool->num_threads() : 1;
   // One batched-rotation tile's worth of rows per thread stays resident
   // before the frames drain into the aggregation stream. The tile size
   // never affects results (encoding reads only per-participant streams, and
   // absorption is exact mod m).
-  const size_t tile_size = TunedTileRows(threads);
-  if (shard_count == 0) shard_count = TunedShardCount();
+  const size_t tile_size = DefaultTileRows(threads);
 
   // The full client -> server message flow: each tile of participants is
   // encoded in place, prepared for the wire (masked, under the masked

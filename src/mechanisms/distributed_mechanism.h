@@ -203,14 +203,13 @@ StatusOr<std::vector<std::vector<uint64_t>>> EncodeBatchParallel(
 /// AggregationSession; K > 1 runs the round as K dimension-range shard
 /// workers plus a coordinator (ShardedCoordinator) — each contribution is
 /// sliced into K sub-frames and each worker sums its range, with per-shard
-/// masking under the masked protocol; 0 (the default) resolves to the
-/// tuned shard count (TunedShardCount, 1 unless calibrated). A pure
-/// performance/residency dial: the decoded sum is bit-identical at every
-/// shard count.
+/// masking under the masked protocol. 0 is rejected (kInvalidArgument). A
+/// pure performance/residency dial: the decoded sum is bit-identical at
+/// every shard count.
 StatusOr<std::vector<double>> RunDistributedSum(
     DistributedSumMechanism& mechanism, secagg::SecureAggregator& aggregator,
     const std::vector<std::vector<double>>& inputs, RandomGenerator& rng,
-    ThreadPool* pool = nullptr, size_t shard_count = 0);
+    ThreadPool* pool = nullptr, size_t shard_count = 1);
 
 /// Mean squared error per dimension between an estimate and the exact sum of
 /// `inputs` — the Err_M metric of Section 3.1. Fails (instead of reading out

@@ -27,8 +27,6 @@ def matrix_artifact(eps=1.0e9, stable=True, bit_identical=True,
         "bench": "bench_matrix",
         "scale": scale,
         "host": {"hardware_threads": 8, "simd_dispatch": "avx2"},
-        "tuning": {"source": "defaults", "tile_rows_per_thread": 32,
-                   "threads_per_session": 0},
         "scenarios": [
             {"name": "simd_kernels", "stable": stable, "runs": [
                 {"label": "add_mod",
@@ -201,7 +199,7 @@ class SchemaValidatorTest(ArtifactFixtureMixin, unittest.TestCase):
 
     def test_missing_required_field_rejected(self):
         report = matrix_artifact()
-        del report["tuning"]
+        del report["host"]
         self.assertEqual(self.run_validate(report), 1)
 
     def test_unknown_field_rejected(self):

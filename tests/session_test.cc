@@ -106,8 +106,9 @@ TEST(AggregationSessionTest, IdealMatchesBatchAtEveryThreadCount) {
 
 TEST(AggregationSessionTest, TiledSessionsMatchPerFrameSessions) {
   // tile_rows only changes how many fork/joins absorption takes, never the
-  // sum: per-frame (1), partial tiles (7 over 33 frames), and one big tile
-  // must all finalize bit-identically, at every thread count.
+  // sum: per-frame (1), partial tiles (3 and 7 over 33 frames), one big
+  // tile, and the DefaultTileRows sizing the encode paths use must all
+  // finalize bit-identically, at every thread count.
   const uint64_t m = 18446744073709551557ULL;
   const auto inputs = RandomInputs(33, 17, m, 12);
   IdealAggregator aggregator;
@@ -117,7 +118,8 @@ TEST(AggregationSessionTest, TiledSessionsMatchPerFrameSessions) {
   ASSERT_TRUE(reference.ok());
   for (int threads : TestThreadCounts()) {
     ThreadPool pool(threads);
-    for (size_t tile_rows : {size_t{1}, size_t{7}, size_t{64}}) {
+    for (size_t tile_rows : {size_t{1}, size_t{3}, size_t{7}, size_t{64},
+                             DefaultTileRows(threads)}) {
       auto sum = RunWireRound(aggregator, inputs, order, m, &pool,
                               tile_rows);
       ASSERT_TRUE(sum.ok()) << sum.status().ToString();

@@ -292,11 +292,16 @@ TEST(FederatedTrainerTest, TrainingIsShardCountInvariant) {
       }
     }
   }
-  // shard_count is validated against the padded model dimension.
+  // shard_count must be >= 1 and is validated against the padded model
+  // dimension.
   FlConfig bad = base;
-  bad.shard_count = -1;
-  EXPECT_FALSE(
-      FederatedTrainer::Create(SmallModel(), task.train, task.test, bad).ok());
+  for (const int shards : {-1, 0}) {
+    bad.shard_count = shards;
+    auto rejected =
+        FederatedTrainer::Create(SmallModel(), task.train, task.test, bad);
+    ASSERT_FALSE(rejected.ok()) << "shard_count=" << shards;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
   bad.shard_count = 1 << 20;
   EXPECT_FALSE(
       FederatedTrainer::Create(SmallModel(), task.train, task.test, bad).ok());
