@@ -1,7 +1,7 @@
 // bench_matrix: the scenario-matrix benchmark driver.
 //
 //   bench_matrix [--fast|--full] [--filter SUBSTR] [--repeats N]
-//                [--wide] [--json PATH] [--list] [--help]
+//                [--json PATH] [--list] [--help]
 //
 // Enumerates every registered scenario's axis matrix (optionally
 // name-filtered), prints one line per enumerated point, and with --json
@@ -24,12 +24,11 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: bench_matrix [--fast|--full] [--filter SUBSTR] [--repeats N] "
-    "[--wide] [--json PATH] [--list] [--help]\n";
+    "[--json PATH] [--list] [--help]\n";
 
 struct Flags {
   bool help = false;
   bool list = false;
-  bool wide = false;
   const char* filter = "";
   const char* json_path = nullptr;
   const char* repeats = nullptr;
@@ -53,9 +52,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       continue;
     } else if (std::strcmp(arg, "--list") == 0) {
       flags->list = true;
-      continue;
-    } else if (std::strcmp(arg, "--wide") == 0) {
-      flags->wide = true;
       continue;
     } else if (std::strcmp(arg, "--fast") == 0 ||
                std::strcmp(arg, "--full") == 0) {
@@ -112,7 +108,6 @@ int Main(int argc, char** argv) {
 
   RunOptions options;
   options.scale = ParseScale(argc, argv);
-  options.wide = flags.wide;
   if (flags.repeats != nullptr) options.repeats = std::atoi(flags.repeats);
 
   std::printf("bench_matrix (%s). Hardware threads: %d, dispatch: %s\n",

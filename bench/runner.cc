@@ -219,8 +219,13 @@ Status WriteMatrixJson(const MatrixReport& report, const std::string& path) {
       WriteJsonString(f, p.mechanism);
       std::fprintf(f, ", \"modulus_class\": ");
       WriteJsonString(f, p.modulus_class);
-      std::fprintf(f, ", \"modulus\": %llu,\n",
-                   static_cast<unsigned long long>(p.modulus));
+      // A scenario without a modulus axis has no modulus: null, not 0.
+      if (p.modulus_class.empty()) {
+        std::fprintf(f, ", \"modulus\": null,\n");
+      } else {
+        std::fprintf(f, ", \"modulus\": %llu,\n",
+                     static_cast<unsigned long long>(p.modulus));
+      }
       std::fprintf(f,
                    "                  \"dim\": %zu, \"participants\": %zu, "
                    "\"dropout_rate\": %.6f,\n",

@@ -7,10 +7,8 @@
 // enumerated point at a time; the runner enumerates the cross product,
 // collects every point's wall time / throughput / bit-identity verdict into
 // a MatrixReport, and serializes the report as one schema-versioned JSON
-// artifact. The bench_matrix binary drives the matrix directly (--filter,
-// --repeats, --json); bench_scaling_threads is a compatibility
-// wrapper that replays the same scenarios and re-emits the historical
-// artifact shape and SPEEDUP_SUMMARY / SIMD_KERNEL log lines.
+// artifact. The bench_matrix binary is the one driver (--filter, --repeats,
+// --json); every declared axis value runs by default.
 //
 // Determinism contract: scenarios seed every generator from fixed constants
 // and treat the threads axis as the innermost loop, so the 1-thread run of
@@ -42,7 +40,7 @@ inline constexpr int kMatrixSchemaVersion = 1;
 struct ScenarioPoint {
   std::string mechanism;      ///< "smm", "ddg", "cpsgd", or "" (none).
   std::string modulus_class;  ///< "pow2_16", "pow2_32", "prime64", or "".
-  uint64_t modulus = 0;
+  uint64_t modulus = 0;       ///< 0 when modulus_class is "" (no modulus).
   size_t dim = 0;
   size_t participants = 0;
   double dropout_rate = 0.0;
@@ -87,9 +85,6 @@ struct RunOptions {
   Scale scale = Scale::kDefault;
   /// Best-of-N repeats; 0 = each scenario's per-scale default.
   int repeats = 0;
-  /// Adds the non-default axis values (extra modulus classes, nonzero
-  /// corrupt-frame rates) that the legacy artifact shape has no rows for.
-  bool wide = false;
   bool verbose = true;
 };
 

@@ -1,9 +1,8 @@
-// The registered benchmark scenarios: the sections bench_scaling_threads
-// historically hard-coded, re-expressed against the Scenario interface so
-// bench_matrix can enumerate them (and bench_scaling_threads can replay
-// them through the same code). Every scenario seeds its generators from the
-// same constants the legacy sections used, so the measured work — and the
-// bit-identity cross-checks — are unchanged by the migration.
+// The registered benchmark scenarios, each expressed against the Scenario
+// interface so bench_matrix can enumerate its axes. Every scenario seeds
+// its generators from fixed constants, so the measured work — and the
+// bit-identity cross-checks across thread counts — are reproducible run to
+// run.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -208,9 +207,9 @@ class RotationScenario : public Scenario {
 
 // ---------------------------------------------------------------------------
 // streaming_ideal: the streaming aggregation subsystem at participant
-// counts 10-100x beyond what the batch-materializing path's O(n·d) buffer
-// can hold. The modulus class is a real axis (the prime 2^64 - 59 is the
-// wrap-prone default; --wide adds a power-of-two class).
+// counts far beyond what an O(n·d) buffer of every contribution could hold.
+// The modulus class is a real axis: the wrap-prone prime 2^64 - 59 and a
+// power of two.
 // ---------------------------------------------------------------------------
 
 class StreamingScenario : public Scenario {
@@ -222,10 +221,7 @@ class StreamingScenario : public Scenario {
 
   ScenarioAxes Axes(const RunOptions& options) override {
     ScenarioAxes axes;
-    axes.moduli = {{"prime64", kPrime64}};
-    if (options.wide) {
-      axes.moduli.push_back({"pow2_32", uint64_t{1} << 32});
-    }
+    axes.moduli = {{"prime64", kPrime64}, {"pow2_32", uint64_t{1} << 32}};
     axes.dims = {options.scale == Scale::kFast ? size_t{1} << 9
                                                : size_t{1} << 10};
     axes.participants = {options.scale == Scale::kFast ? size_t{1} << 14
@@ -300,8 +296,9 @@ class StreamingScenario : public Scenario {
 
 // ---------------------------------------------------------------------------
 // masked_secagg: a full Bonawitz-style round — parallel pairwise masking
-// across survivors plus UnmaskSum with dropouts. Dropout rate is a real
-// axis (the default reproduces the legacy last-2-drop-out round).
+// across survivors, then the server stream (one tile of survivors, dropout
+// recovery at Finalize). Dropout rate is a real axis: the last two
+// participants drop out, or a quarter of them.
 // ---------------------------------------------------------------------------
 
 class MaskedSecaggScenario : public Scenario {
@@ -318,8 +315,7 @@ class MaskedSecaggScenario : public Scenario {
     axes.dims = {options.scale == Scale::kFast ? size_t{1} << 9
                                                : size_t{1} << 11};
     axes.participants = {participants};
-    axes.dropout_rates = {2.0 / static_cast<double>(participants)};
-    if (options.wide) axes.dropout_rates.push_back(0.25);
+    axes.dropout_rates = {2.0 / static_cast<double>(participants), 0.25};
     axes.threads = {1, 2, 4, 8};
     return axes;
   }
@@ -368,12 +364,17 @@ class MaskedSecaggScenario : public Scenario {
           masked[i] = std::move(*mi);
         }
       });
-      // Server side: sum + dropout recovery, sharded on the same pool.
-      auto unmasked = failed.load()
-                          ? StatusOr<std::vector<uint64_t>>(
-                                InternalError("masking failed"))
-                          : aggregator->UnmaskSum(masked, survivors, dim, m,
-                                                  &pool);
+      if (failed.load()) {
+        status = InternalError("masking failed");
+        return;
+      }
+      // Server side: absorb + dropout recovery, sharded on the same pool.
+      const auto unmask = [&]() -> StatusOr<std::vector<uint64_t>> {
+        SMM_ASSIGN_OR_RETURN(auto stream, aggregator->Open(dim, m, &pool));
+        SMM_RETURN_IF_ERROR(stream->AbsorbTile(survivors, masked));
+        return stream->Finalize();
+      };
+      auto unmasked = unmask();
       if (!unmasked.ok()) {
         status = unmasked.status();
         return;
@@ -427,8 +428,7 @@ class SessionMaskedScenario : public Scenario {
                                                : size_t{1} << 11};
     axes.participants = {participants};
     axes.dropout_rates = {2.0 / static_cast<double>(participants)};
-    axes.corrupt_frame_rates = {0.0};
-    if (options.wide) axes.corrupt_frame_rates.push_back(0.1);
+    axes.corrupt_frame_rates = {0.0, 0.1};
     axes.threads = {1, 2, 4, 8};
     return axes;
   }

@@ -18,7 +18,7 @@
 namespace smm::bench {
 
 struct SimdCase {
-  /// Kernel name in the artifact and SIMD_KERNEL log lines
+  /// Kernel name: the run label in the artifact and the bench_matrix log
   /// ("scale_round_prep" for the floor_fract kernel).
   const char* name;
   /// Untimed per-repeat input restore (empty = none needed).

@@ -7,10 +7,10 @@ Usage:
 SCHEMA.json defaults to bench_matrix_schema.json next to this script.
 Exits 0 when the artifact conforms, 1 with a path-qualified error list
 otherwise. Stdlib only: implements exactly the JSON-Schema subset the
-schema file uses — type, properties, required, additionalProperties,
-items, enum, minimum — rather than depending on the jsonschema package
-(CI images do not ship it, and the subset keeps the failure messages
-short and deterministic).
+schema file uses — type (one name or a list), properties, required,
+additionalProperties, items, enum, minimum, if/then/else — rather than
+depending on the jsonschema package (CI images do not ship it, and the
+subset keeps the failure messages short and deterministic).
 """
 
 import json
@@ -24,10 +24,13 @@ _TYPES = {
     "boolean": bool,
     "integer": int,
     "number": (int, float),
+    "null": type(None),
 }
 
 
 def _check_type(value, expected):
+    if isinstance(expected, list):
+        return any(_check_type(value, name) for name in expected)
     py = _TYPES[expected]
     if isinstance(value, bool):
         # bool is an int subclass in Python; only "boolean" may accept it.
@@ -45,6 +48,12 @@ def validate(value, schema, path="$", errors=None):
         errors.append(f"{path}: expected {expected}, "
                       f"got {type(value).__name__}")
         return errors
+
+    if "if" in schema:
+        # The branch is picked by whether `value` satisfies the "if" schema.
+        branch = "else" if validate(value, schema["if"], path) else "then"
+        if branch in schema:
+            validate(value, schema[branch], path, errors)
 
     if "enum" in schema and value not in schema["enum"]:
         errors.append(f"{path}: {value!r} not in {schema['enum']}")

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for the bench tooling: check_bench_regression.py's diff and
-gating logic (both the legacy bench_scaling_threads shape and the
-schema-versioned bench_matrix shape) and validate_bench_artifact.py's
-mini JSON-Schema validator. Registered with ctest so the merge gate's own
-logic is itself gated.
+gating logic over schema-versioned bench_matrix artifacts and
+validate_bench_artifact.py's mini JSON-Schema validator. Registered with
+ctest so the merge gate's own logic is itself gated.
 """
 
 import copy
@@ -55,8 +54,9 @@ def matrix_artifact(eps=1.0e9, stable=True, bit_identical=True,
 
 
 def legacy_artifact(dispatch_eps=1.0e9, scale="fast"):
+    """A pre-matrix artifact shape; neither tool accepts it as current."""
     return {
-        "bench": "bench_scaling_threads",
+        "bench": "pre_matrix_bench",
         "scale": scale,
         "hardware_threads": 8,
         "simd_dispatch": "avx2",
@@ -87,42 +87,6 @@ class ArtifactFixtureMixin:
     def run_check(self, baseline, current, *extra):
         argv = ["check_bench_regression.py", baseline, current, *extra]
         return cbr.main(argv)
-
-
-class LegacyDiffTest(ArtifactFixtureMixin, unittest.TestCase):
-    def test_identical_reports_pass_under_gate(self):
-        p = self.write("a.json", legacy_artifact())
-        self.assertEqual(self.run_check(p, p, "--fail-below", "0.5"), 0)
-
-    def test_kernel_regression_fails_gate(self):
-        base = self.write("base.json", legacy_artifact(dispatch_eps=1.0e9))
-        cur = self.write("cur.json", legacy_artifact(dispatch_eps=0.4e9))
-        self.assertEqual(self.run_check(base, cur, "--fail-below", "0.5"), 1)
-
-    def test_kernel_regression_informational_without_gate(self):
-        base = self.write("base.json", legacy_artifact(dispatch_eps=1.0e9))
-        cur = self.write("cur.json", legacy_artifact(dispatch_eps=0.4e9))
-        self.assertEqual(self.run_check(base, cur), 0)
-
-    def test_missing_baseline_seeds_trajectory(self):
-        cur = self.write("cur.json", legacy_artifact())
-        self.assertEqual(
-            self.run_check("/nonexistent/base.json", cur,
-                           "--fail-below", "0.5"), 0)
-
-    def test_scale_mismatch_is_informational(self):
-        base = self.write("base.json",
-                          legacy_artifact(dispatch_eps=1.0e9, scale="full"))
-        cur = self.write("cur.json",
-                         legacy_artifact(dispatch_eps=0.1e9, scale="fast"))
-        self.assertEqual(self.run_check(base, cur, "--fail-below", "0.5"), 0)
-
-    def test_unreadable_current_is_an_error(self):
-        base = self.write("base.json", legacy_artifact())
-        bad = self.write("bad.json", legacy_artifact())
-        with open(bad, "w") as f:
-            f.write("{not json")
-        self.assertEqual(self.run_check(base, bad), 1)
 
 
 class MatrixDiffTest(ArtifactFixtureMixin, unittest.TestCase):
@@ -167,12 +131,38 @@ class MatrixDiffTest(ArtifactFixtureMixin, unittest.TestCase):
             self.run_check("/nonexistent/base.json", cur,
                            "--fail-below", "0.5"), 0)
 
-    def test_shape_mismatch_is_informational(self):
-        # A legacy baseline against a matrix current (the transition PR's
-        # first run) must seed, not fail.
-        base = self.write("base.json", legacy_artifact())
-        cur = self.write("cur.json", matrix_artifact(eps=0.1e9))
-        self.assertEqual(self.run_check(base, cur, "--fail-below", "0.5"), 0)
+    def test_non_matrix_artifacts(self):
+        # A non-matrix current artifact is an error; a non-matrix baseline
+        # (e.g. a stale cache entry) counts as missing and seeds.
+        matrix = self.write("matrix.json", matrix_artifact(eps=0.1e9))
+        legacy = self.write("legacy.json", legacy_artifact())
+        self.assertEqual(self.run_check(matrix, legacy), 1)
+        self.assertEqual(
+            self.run_check(legacy, matrix, "--fail-below", "0.5"), 0)
+
+    def test_unreadable_current_is_an_error(self):
+        base = self.write("base.json", matrix_artifact())
+        bad = self.write("bad.json", matrix_artifact())
+        with open(bad, "w") as f:
+            f.write("{not json")
+        self.assertEqual(self.run_check(base, bad), 1)
+
+    def test_points_differing_in_one_axis_are_matched_apart(self):
+        # Two stable runs that differ only in dropout rate, one 4x slower
+        # than the other: each must be diffed against its own baseline
+        # point, so an unchanged artifact passes and a real drop fails.
+        def two_dropout_points(eps_low, eps_high):
+            report = matrix_artifact()
+            runs = report["scenarios"][0]["runs"]
+            runs.append(copy.deepcopy(runs[0]))
+            runs[1]["params"]["dropout_rate"] = 0.25
+            runs[0]["items_per_sec"] = eps_low
+            runs[1]["items_per_sec"] = eps_high
+            return report
+        base = self.write("base.json", two_dropout_points(1.0e9, 4.0e9))
+        self.assertEqual(self.run_check(base, base, "--fail-below", "0.5"), 0)
+        cur = self.write("cur.json", two_dropout_points(1.0e9, 1.0e9))
+        self.assertEqual(self.run_check(base, cur, "--fail-below", "0.5"), 1)
 
     def test_new_point_is_not_gated(self):
         base = self.write("base.json", matrix_artifact())
@@ -196,6 +186,22 @@ class SchemaValidatorTest(ArtifactFixtureMixin, unittest.TestCase):
 
     def test_legacy_artifact_rejected(self):
         self.assertEqual(self.run_validate(legacy_artifact()), 1)
+
+    def test_modulus_free_run_conforms(self):
+        # A scenario without a modulus axis writes modulus_class "" and
+        # modulus null; any other run needs a real modulus >= 2.
+        report = matrix_artifact()
+        params = report["scenarios"][1]["runs"][0]["params"]
+        params["modulus_class"] = ""
+        params["modulus"] = None
+        self.assertEqual(self.run_validate(report), 0)
+        params["modulus"] = 0
+        self.assertEqual(self.run_validate(report), 1)
+        params["modulus_class"] = "pow2_16"
+        params["modulus"] = None
+        self.assertEqual(self.run_validate(report), 1)
+        params["modulus"] = 1
+        self.assertEqual(self.run_validate(report), 1)
 
     def test_missing_required_field_rejected(self):
         report = matrix_artifact()

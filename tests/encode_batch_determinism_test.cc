@@ -18,6 +18,7 @@
 #include "mechanisms/distributed_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
 #include "reference_encoder.h"
+#include "reference_sum.h"
 #include "secagg/secure_aggregator.h"
 
 namespace smm::mechanisms {
@@ -238,21 +239,24 @@ TEST(EncodeBatchDeterminismTest, ScalarDispatchMatchesSimdAtEveryThreadCount) {
   simd::SetDispatchModeForTest(simd::DispatchMode::kAuto);
 }
 
-TEST(EncodeBatchDeterminismTest, ShardedAggregationMatchesSequential) {
+TEST(EncodeBatchDeterminismTest, ShardedAggregationMatchesReference) {
   RandomGenerator rng(5);
   constexpr uint64_t kModulus = 1 << 16;
   std::vector<std::vector<uint64_t>> inputs(
       37, std::vector<uint64_t>(kDim));
-  for (auto& row : inputs) {
-    for (auto& v : row) v = rng.UniformUint64(kModulus);
+  std::vector<int> ids(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    for (auto& v : inputs[i]) v = rng.UniformUint64(kModulus);
+    ids[i] = static_cast<int>(i);
   }
+  const std::vector<uint64_t> reference =
+      secagg::ReferenceSum(inputs, kModulus);
   secagg::IdealAggregator aggregator;
-  const std::vector<uint64_t> sequential =
-      aggregator.Aggregate(inputs, kModulus).value();
-  for (int threads : {2, 5, 8}) {
+  for (int threads : {1, 2, 5, 8}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(sequential,
-              aggregator.AggregateParallel(inputs, kModulus, &pool).value())
+    auto stream = aggregator.Open(kDim, kModulus, &pool).value();
+    ASSERT_TRUE(stream->AbsorbTile(ids, inputs).ok());
+    EXPECT_EQ(reference, stream->Finalize().value())
         << threads << " threads";
   }
 }

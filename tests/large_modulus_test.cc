@@ -11,6 +11,7 @@
 
 #include "common/math_util.h"
 #include "common/random.h"
+#include "reference_sum.h"
 #include "secagg/modular.h"
 #include "secagg/secure_aggregator.h"
 
@@ -32,7 +33,8 @@ std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
   return inputs;
 }
 
-/// Exact reference sum through 128-bit arithmetic.
+/// Exact sum through 128-bit arithmetic: the check on the shared
+/// tests/reference_sum.h oracle in the wrap-prone regime.
 std::vector<uint64_t> ExactSum128(
     const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) {
   std::vector<uint64_t> sum(inputs[0].size(), 0);
@@ -41,6 +43,14 @@ std::vector<uint64_t> ExactSum128(
     for (const auto& v : inputs) acc += v[j];
     sum[j] = static_cast<uint64_t>(acc % m);
   }
+  return sum;
+}
+
+/// ReferenceSum of `inputs`, checked against the 128-bit sum.
+std::vector<uint64_t> CheckedReferenceSum(
+    const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) {
+  std::vector<uint64_t> sum = ReferenceSum(inputs, m);
+  EXPECT_EQ(sum, ExactSum128(inputs, m));
   return sum;
 }
 
@@ -154,17 +164,22 @@ TEST(LargeModulusTest, CenterLiftMatches128BitReferenceAtBothParities) {
 
 TEST(LargeModulusTest, IdealAggregatorIsExact) {
   const uint64_t m = kLargePrime;
-  const auto inputs = RandomInputs(23, 17, m, 6);
-  const auto expected = ExactSum128(inputs, m);
+  const size_t dim = 17;
+  const auto inputs = RandomInputs(23, dim, m, 6);
+  const auto expected = CheckedReferenceSum(inputs, m);
+  std::vector<int> ids(inputs.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
   IdealAggregator agg;
-  auto sequential = agg.Aggregate(inputs, m);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(*sequential, expected);
-  for (int threads : {2, 8}) {
+  // One tile of every input: the sharded per-thread partials and their
+  // reduction must stay exact at m > 2^63.
+  for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    auto parallel = agg.AggregateParallel(inputs, m, &pool);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(*parallel, expected) << threads << " threads";
+    auto stream = agg.Open(dim, m, &pool);
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE((*stream)->AbsorbTile(ids, inputs).ok());
+    auto sum = (*stream)->Finalize();
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ(*sum, expected) << threads << " threads";
   }
 }
 
@@ -179,32 +194,42 @@ TEST(LargeModulusTest, MaskedAggregatorIsExact) {
   const uint64_t m = kLargePrime;
   const size_t dim = 19;
   const auto inputs = RandomInputs(n, dim, m, 8);
-  // Full participation: every pairwise mask must cancel exactly even though
-  // individual masked coordinates live right below 2^64.
-  auto full = (*agg)->Aggregate(inputs, m);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(*full, ExactSum128(inputs, m));
-
-  // Dropout recovery at the same modulus.
-  const std::vector<int> survivors = {0, 2, 3, 5, 6};
   std::vector<std::vector<uint64_t>> masked;
-  std::vector<std::vector<uint64_t>> survivor_inputs;
-  for (int i : survivors) {
+  for (int i = 0; i < n; ++i) {
     auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
     ASSERT_TRUE(mi.ok());
     masked.push_back(std::move(*mi));
+  }
+  const auto stream_sum = [&](const std::vector<int>& ids)
+      -> StatusOr<std::vector<uint64_t>> {
+    SMM_ASSIGN_OR_RETURN(auto stream, (*agg)->Open(dim, m));
+    for (int i : ids) {
+      SMM_RETURN_IF_ERROR(stream->Absorb(i, masked[static_cast<size_t>(i)]));
+    }
+    return stream->Finalize();
+  };
+  // Full participation: every pairwise mask must cancel exactly even though
+  // individual masked coordinates live right below 2^64.
+  auto full = stream_sum({0, 1, 2, 3, 4, 5, 6});
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(*full, CheckedReferenceSum(inputs, m));
+
+  // Dropout recovery at the same modulus.
+  const std::vector<int> survivors = {0, 2, 3, 5, 6};
+  std::vector<std::vector<uint64_t>> survivor_inputs;
+  for (int i : survivors) {
     survivor_inputs.push_back(inputs[static_cast<size_t>(i)]);
   }
-  auto recovered = (*agg)->UnmaskSum(masked, survivors, dim, m);
+  auto recovered = stream_sum(survivors);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*recovered, ExactSum128(survivor_inputs, m));
+  EXPECT_EQ(*recovered, CheckedReferenceSum(survivor_inputs, m));
 }
 
 TEST(LargeModulusTest, StreamingAggregationIsExact) {
   const uint64_t m = kLargePrime;
   const size_t dim = 31;
   const auto inputs = RandomInputs(41, dim, m, 9);
-  const auto expected = ExactSum128(inputs, m);
+  const auto expected = CheckedReferenceSum(inputs, m);
   IdealAggregator agg;
   for (int threads : {1, 8}) {
     ThreadPool pool(threads);

@@ -1,7 +1,8 @@
 // Thread-count invariance of the parallel masked-aggregation paths: mask
-// expansion sharded over pairs, unmasking (with dropouts) sharded over
-// survivors and recovery pairs, and the full AggregateParallel round must
-// all be bit-identical to the sequential path for every thread count.
+// expansion sharded over pairs, and the server stream's absorb (sharded
+// over survivors) and dropout recovery (sharded over recovery pairs), must
+// all be bit-identical to the sequential path — and the stream's sum to the
+// plain sum of the survivors' inputs — for every thread count.
 //
 // SMM_THREADS (when set to a positive integer) adds an extra thread count to
 // every invariance sweep, so the sanitizer CI jobs exercise the same tests
@@ -15,6 +16,7 @@
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "reference_sum.h"
 
 namespace smm::secagg {
 namespace {
@@ -28,15 +30,6 @@ std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
     for (auto& x : v) x = rng.UniformUint64(m);
   }
   return inputs;
-}
-
-std::vector<uint64_t> ExactSum(const std::vector<std::vector<uint64_t>>& in,
-                               uint64_t m) {
-  std::vector<uint64_t> sum(in[0].size(), 0);
-  for (const auto& v : in) {
-    for (size_t j = 0; j < v.size(); ++j) sum[j] = (sum[j] + v[j]) % m;
-  }
-  return sum;
 }
 
 /// Thread counts every invariance test sweeps: 1, 2, 8, plus SMM_THREADS
@@ -85,7 +78,18 @@ TEST(MaskedAggregatorParallelTest, MaskInputIsThreadCountInvariant) {
   }
 }
 
-TEST(MaskedAggregatorParallelTest, UnmaskSumWithDropoutsIsThreadCountInvariant) {
+/// Opens a stream on `pool` (nullptr = sequential), absorbs the survivors'
+/// masked inputs as one tile, and finalizes.
+StatusOr<std::vector<uint64_t>> StreamSum(
+    MaskedAggregator& agg, const std::vector<std::vector<uint64_t>>& masked,
+    const std::vector<int>& survivors, size_t dim, uint64_t m,
+    ThreadPool* pool) {
+  SMM_ASSIGN_OR_RETURN(auto stream, agg.Open(dim, m, pool));
+  SMM_RETURN_IF_ERROR(stream->AbsorbTile(survivors, masked));
+  return stream->Finalize();
+}
+
+TEST(MaskedAggregatorParallelTest, StreamWithDropoutsIsThreadCountInvariant) {
   const int n = 9;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 4));
   ASSERT_TRUE(agg.ok());
@@ -101,38 +105,13 @@ TEST(MaskedAggregatorParallelTest, UnmaskSumWithDropoutsIsThreadCountInvariant) 
     ASSERT_TRUE(mi.ok());
     masked.push_back(std::move(*mi));
   }
-  auto sequential = (*agg)->UnmaskSum(masked, survivors, dim, m);
+  auto sequential = StreamSum(**agg, masked, survivors, dim, m, nullptr);
   ASSERT_TRUE(sequential.ok());
-
-  std::vector<uint64_t> expected(dim, 0);
-  for (int i : survivors) {
-    for (size_t j = 0; j < dim; ++j) {
-      expected[j] = (expected[j] + inputs[static_cast<size_t>(i)][j]) % m;
-    }
-  }
-  EXPECT_EQ(*sequential, expected);
+  EXPECT_EQ(*sequential, ReferenceSumOf(inputs, survivors, m));
 
   for (int threads : ThreadCounts()) {
     ThreadPool pool(threads);
-    auto parallel = (*agg)->UnmaskSum(masked, survivors, dim, m, &pool);
-    ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    EXPECT_EQ(*sequential, *parallel) << threads << " threads";
-  }
-}
-
-TEST(MaskedAggregatorParallelTest, AggregateParallelMatchesAggregate) {
-  const int n = 12;
-  auto agg = MaskedAggregator::Create(BasicOptions(n, 6));
-  ASSERT_TRUE(agg.ok());
-  const uint64_t m = 1 << 18;
-  const size_t dim = 96;
-  const auto inputs = RandomInputs(n, dim, m, 13);
-  auto sequential = (*agg)->Aggregate(inputs, m);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(*sequential, ExactSum(inputs, m));
-  for (int threads : ThreadCounts()) {
-    ThreadPool pool(threads);
-    auto parallel = (*agg)->AggregateParallel(inputs, m, &pool);
+    auto parallel = StreamSum(**agg, masked, survivors, dim, m, &pool);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
     EXPECT_EQ(*sequential, *parallel) << threads << " threads";
   }
@@ -145,11 +124,14 @@ TEST(MaskedAggregatorParallelTest, ParallelErrorsStillPropagate) {
   ThreadPool pool(4);
   // Below the Shamir threshold: must fail identically in parallel mode.
   std::vector<std::vector<uint64_t>> masked(2, std::vector<uint64_t>(4, 0));
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, {0, 1}, 4, m, &pool).ok());
+  EXPECT_EQ(StreamSum(**agg, masked, {0, 1}, 4, m, &pool).status().code(),
+            StatusCode::kFailedPrecondition);
   // Dimension mismatch among masked inputs.
   std::vector<std::vector<uint64_t>> ragged(4, std::vector<uint64_t>(4, 0));
   ragged[2].resize(3);
-  EXPECT_FALSE((*agg)->UnmaskSum(ragged, {0, 1, 2, 3}, 4, m, &pool).ok());
+  EXPECT_EQ(
+      StreamSum(**agg, ragged, {0, 1, 2, 3}, 4, m, &pool).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

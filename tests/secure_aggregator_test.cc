@@ -6,7 +6,7 @@
 
 #include "common/math_util.h"
 #include "common/random.h"
-#include "secagg/modular.h"
+#include "reference_sum.h"
 
 namespace smm::secagg {
 namespace {
@@ -22,28 +22,57 @@ std::vector<std::vector<uint64_t>> RandomInputs(int n, size_t dim, uint64_t m,
   return inputs;
 }
 
-std::vector<uint64_t> ExactSum(const std::vector<std::vector<uint64_t>>& in,
-                               uint64_t m) {
-  std::vector<uint64_t> sum(in[0].size(), 0);
-  for (const auto& v : in) {
-    for (size_t j = 0; j < v.size(); ++j) sum[j] = (sum[j] + v[j]) % m;
+std::vector<int> Range(int n) {
+  std::vector<int> ids(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = i;
+  return ids;
+}
+
+/// The server path under test: opens a stream over `agg`, absorbs
+/// contributions[i] for every i in `participants` as one tile, finalizes.
+StatusOr<std::vector<uint64_t>> StreamSum(
+    SecureAggregator& agg,
+    const std::vector<std::vector<uint64_t>>& contributions,
+    const std::vector<int>& participants, uint64_t m) {
+  SMM_ASSIGN_OR_RETURN(auto stream,
+                       agg.Open(contributions[0].size(), m));
+  std::vector<std::vector<uint64_t>> tile;
+  for (int i : participants) {
+    tile.push_back(contributions[static_cast<size_t>(i)]);
   }
-  return sum;
+  SMM_RETURN_IF_ERROR(stream->AbsorbTile(participants, tile));
+  return stream->Finalize();
+}
+
+/// Every participant's masked input, indexed by participant.
+std::vector<std::vector<uint64_t>> MaskAll(
+    const MaskedAggregator& agg,
+    const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) {
+  std::vector<std::vector<uint64_t>> masked;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    masked.push_back(agg.MaskInput(static_cast<int>(i), inputs[i], m).value());
+  }
+  return masked;
 }
 
 TEST(IdealAggregatorTest, SumsModM) {
   IdealAggregator agg;
   const auto inputs = RandomInputs(5, 16, 256, 1);
-  auto sum = agg.Aggregate(inputs, 256);
+  auto sum = StreamSum(agg, inputs, Range(5), 256);
   ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, ExactSum(inputs, 256));
+  EXPECT_EQ(*sum, ReferenceSum(inputs, 256));
 }
 
 TEST(IdealAggregatorTest, RejectsBadInputs) {
   IdealAggregator agg;
-  EXPECT_FALSE(agg.Aggregate({}, 256).ok());
-  EXPECT_FALSE(agg.Aggregate({{1, 2}, {3}}, 256).ok());
-  EXPECT_FALSE(agg.Aggregate({{1}}, 1).ok());
+  EXPECT_FALSE(agg.Open(0, 256).ok());
+  EXPECT_FALSE(agg.Open(2, 1).ok());
+  auto stream = agg.Open(2, 256);
+  ASSERT_TRUE(stream.ok());
+  EXPECT_FALSE((*stream)->AbsorbTile({0, 1}, {{1, 2}, {3}}).ok());
+  EXPECT_EQ((*stream)->absorbed(), 0u);
+  EXPECT_EQ((*stream)->Finalize().status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 MaskedAggregator::Options BasicOptions(int n, int threshold) {
@@ -66,9 +95,9 @@ TEST(MaskedAggregatorTest, MatchesIdealSum) {
   ASSERT_TRUE(agg.ok());
   const uint64_t m = 1024;
   const auto inputs = RandomInputs(6, 32, m, 2);
-  auto masked_sum = (*agg)->Aggregate(inputs, m);
+  auto masked_sum = StreamSum(**agg, MaskAll(**agg, inputs, m), Range(6), m);
   ASSERT_TRUE(masked_sum.ok());
-  EXPECT_EQ(*masked_sum, ExactSum(inputs, m));
+  EXPECT_EQ(*masked_sum, ReferenceSum(inputs, m));
 }
 
 TEST(MaskedAggregatorTest, MaskedInputsHideRawValues) {
@@ -121,22 +150,9 @@ TEST(MaskedAggregatorTest, DropoutRecoveryReconstructsSum) {
   // Participants 1 and 3 drop out AFTER masking is configured but before
   // submitting; survivors are 0, 2, 4.
   const std::vector<int> survivors = {0, 2, 4};
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto sum = (*agg)->UnmaskSum(masked, survivors, dim, m);
+  auto sum = StreamSum(**agg, MaskAll(**agg, inputs, m), survivors, m);
   ASSERT_TRUE(sum.ok());
-
-  std::vector<uint64_t> expected(dim, 0);
-  for (int i : survivors) {
-    for (size_t j = 0; j < dim; ++j) {
-      expected[j] = (expected[j] + inputs[static_cast<size_t>(i)][j]) % m;
-    }
-  }
-  EXPECT_EQ(*sum, expected);
+  EXPECT_EQ(*sum, ReferenceSumOf(inputs, survivors, m));
 }
 
 TEST(MaskedAggregatorTest, TooManyDropoutsFail) {
@@ -145,13 +161,11 @@ TEST(MaskedAggregatorTest, TooManyDropoutsFail) {
   const uint64_t m = 256;
   const auto inputs = RandomInputs(5, 4, m, 5);
   const std::vector<int> survivors = {0, 1};  // Below threshold 4.
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*agg)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, m).ok());
+  EXPECT_EQ(
+      StreamSum(**agg, MaskAll(**agg, inputs, m), survivors, m)
+          .status()
+          .code(),
+      StatusCode::kFailedPrecondition);
 }
 
 TEST(MaskedAggregatorTest, MaskInputValidatesArguments) {
@@ -167,25 +181,6 @@ TEST(MaskedAggregatorTest, MaskInputValidatesArguments) {
   EXPECT_FALSE((*agg)->MaskInput(-1, input, 256).ok());
   EXPECT_FALSE((*agg)->MaskInput(4, input, 256).ok());
   EXPECT_TRUE((*agg)->MaskInput(3, input, 256).ok());
-}
-
-TEST(MaskedAggregatorTest, UnmaskSumValidatesArguments) {
-  auto agg = MaskedAggregator::Create(BasicOptions(4, 2));
-  ASSERT_TRUE(agg.ok());
-  std::vector<std::vector<uint64_t>> masked(3, std::vector<uint64_t>(4, 0));
-  const std::vector<int> survivors = {0, 1, 2};
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, 0).ok());
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 4, 1).ok());
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, survivors, 0, 256).ok());
-  EXPECT_TRUE((*agg)->UnmaskSum(masked, survivors, 4, 256).ok());
-}
-
-TEST(MaskedAggregatorTest, DuplicateSurvivorRejected) {
-  auto agg = MaskedAggregator::Create(BasicOptions(4, 2));
-  ASSERT_TRUE(agg.ok());
-  const uint64_t m = 256;
-  std::vector<std::vector<uint64_t>> masked(2, std::vector<uint64_t>(4, 0));
-  EXPECT_FALSE((*agg)->UnmaskSum(masked, {1, 1}, 4, m).ok());
 }
 
 // FNV-1a over the little-endian bytes of each word: a fixed, portable
@@ -261,13 +256,7 @@ TEST(MaskedAggregatorTest, MaskedInputsAndRecoveredSumArePinned) {
       }
       auto sum = (*stream)->Finalize();
       ASSERT_TRUE(sum.ok());
-      std::vector<uint64_t> expected(kDim, 0);
-      for (const auto& v : survivor_inputs) {
-        for (size_t k = 0; k < kDim; ++k) {
-          expected[k] = smm::AddMod(expected[k], v[k], c.m);
-        }
-      }
-      ASSERT_EQ(*sum, expected);
+      ASSERT_EQ(*sum, ReferenceSum(survivor_inputs, c.m));
       digest = HashWords(digest, *sum);
       EXPECT_EQ(digest, c.digest) << std::hex << "0x" << digest;
     }
@@ -286,9 +275,9 @@ TEST_P(MaskedAggregatorParamTest, MatchesIdealAcrossSizesAndModuli) {
   auto agg = MaskedAggregator::Create(o);
   ASSERT_TRUE(agg.ok());
   const auto inputs = RandomInputs(n, 8, m, static_cast<uint64_t>(n) + m);
-  auto sum = (*agg)->Aggregate(inputs, m);
+  auto sum = StreamSum(**agg, MaskAll(**agg, inputs, m), Range(n), m);
   ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, ExactSum(inputs, m));
+  EXPECT_EQ(*sum, ReferenceSum(inputs, m));
 }
 
 INSTANTIATE_TEST_SUITE_P(

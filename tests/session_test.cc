@@ -1,9 +1,10 @@
 // End-to-end tests for the frame-driven aggregation session: the
 // client -> ContributionMsg frame -> AggregationSession -> streaming-sum
-// path must be bit-identical to the batch Aggregate/AggregateParallel path
-// for both provided aggregators, at any thread count and arrival order,
-// with dropouts deferred to Finalize; and corrupt or protocol-violating
-// frames must be rejected with a Status while the session keeps serving.
+// path must be bit-identical to the plain sum of the contributors' inputs
+// (tests/reference_sum.h) for both provided aggregators, at any thread
+// count and arrival order, with dropouts deferred to Finalize; and corrupt
+// or protocol-violating frames must be rejected with a Status while the
+// session keeps serving.
 #include "secagg/session.h"
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "reference_sum.h"
 #include "secagg/secure_aggregator.h"
 #include "secagg/transport.h"
 
@@ -86,19 +88,18 @@ TEST(AggregationSessionTest, OpenValidates) {
   EXPECT_FALSE(AggregationSession::Open(aggregator, options).ok());
 }
 
-TEST(AggregationSessionTest, IdealMatchesBatchAtEveryThreadCount) {
+TEST(AggregationSessionTest, IdealMatchesReferenceAtEveryThreadCount) {
   const uint64_t m = 18446744073709551557ULL;  // 2^64 - 59: wrap-prone.
   const auto inputs = RandomInputs(33, 29, m, 4);
   IdealAggregator aggregator;
-  auto batch = aggregator.Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
+  const auto reference = ReferenceSum(inputs, m);
   std::vector<int> order(inputs.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   for (int threads : TestThreadCounts()) {
     ThreadPool pool(threads);
     auto sum = RunWireRound(aggregator, inputs, order, m, &pool);
     ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-    EXPECT_EQ(sum->sum, *batch) << threads << " threads";
+    EXPECT_EQ(sum->sum, reference) << threads << " threads";
     EXPECT_EQ(sum->num_contributors, inputs.size());
     EXPECT_EQ(sum->modulus, m);
   }
@@ -184,7 +185,7 @@ TEST(AggregationSessionTest, TiledBadTileDroppedAndItsParticipantsCanRetry) {
   EXPECT_EQ(sum->sum, (std::vector<uint64_t>{3, 6}));
 }
 
-TEST(AggregationSessionTest, MaskedMatchesBatchInShuffledArrivalOrder) {
+TEST(AggregationSessionTest, MaskedMatchesReferenceInShuffledArrivalOrder) {
   const int n = 9;
   MaskedAggregator::Options options;
   options.num_participants = n;
@@ -194,15 +195,14 @@ TEST(AggregationSessionTest, MaskedMatchesBatchInShuffledArrivalOrder) {
   ASSERT_TRUE(aggregator.ok());
   const uint64_t m = 1ULL << 32;
   const auto inputs = RandomInputs(n, 13, m, 5);
-  auto batch = (*aggregator)->Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
+  const auto reference = ReferenceSum(inputs, m);
   // Contributions arrive in an adversarial order; masking still cancels.
   std::vector<int> order = {7, 2, 8, 0, 5, 1, 6, 3, 4};
   for (int threads : TestThreadCounts()) {
     ThreadPool pool(threads);
     auto sum = RunWireRound(**aggregator, inputs, order, m, &pool);
     ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-    EXPECT_EQ(sum->sum, *batch) << threads << " threads";
+    EXPECT_EQ(sum->sum, reference) << threads << " threads";
   }
 }
 
@@ -216,21 +216,12 @@ TEST(AggregationSessionTest, MaskedDropoutsRecoveredAtFinalize) {
   ASSERT_TRUE(aggregator.ok());
   const uint64_t m = 1 << 16;
   const auto inputs = RandomInputs(n, 11, m, 6);
-  // Participants 2 and 6 never send a frame; the session must recover
-  // their leftover masks exactly as the batch UnmaskSum would.
+  // Participants 2 and 6 never send a frame; the session must remove
+  // their leftover masks and release exactly the survivors' plain sum.
   const std::vector<int> survivors = {0, 1, 3, 4, 5, 7};
-  std::vector<std::vector<uint64_t>> masked;
-  for (int i : survivors) {
-    auto mi = (*aggregator)->MaskInput(i, inputs[static_cast<size_t>(i)], m);
-    ASSERT_TRUE(mi.ok());
-    masked.push_back(std::move(*mi));
-  }
-  auto batch = (*aggregator)->UnmaskSum(masked, survivors,
-                                        inputs[0].size(), m);
-  ASSERT_TRUE(batch.ok());
   auto sum = RunWireRound(**aggregator, inputs, survivors, m, nullptr);
   ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-  EXPECT_EQ(sum->sum, *batch);
+  EXPECT_EQ(sum->sum, ReferenceSumOf(inputs, survivors, m));
   EXPECT_EQ(sum->num_contributors, survivors.size());
 }
 

@@ -59,7 +59,13 @@ std::vector<int64_t> SignedValues(uint64_t m, size_t n, uint64_t seed) {
     } else if (j % 3 == 0) {
       out[j] = static_cast<int64_t>(rng.NextBits());  // Full-range.
     } else {
-      out[j] = static_cast<int64_t>(rng.UniformUint64(m)) + lo;  // In-window.
+      // In-window: residue r shifted by lo = -floor(m/2). Formed without
+      // any overflow: int64_t(r) + lo overflows for m > 2^63, and a
+      // wrapping uint64_t add would trap the unsigned-overflow sanitizer.
+      const uint64_t r = rng.UniformUint64(m);
+      const uint64_t half = m / 2;
+      out[j] = r >= half ? static_cast<int64_t>(r - half)
+                         : -static_cast<int64_t>(half - r);
     }
   }
   return out;

@@ -1,6 +1,7 @@
 // Property tests for the streaming aggregation subsystem: Finalize must be
-// bit-identical to the batch Aggregate/AggregateParallel path for both
-// implementations, across thread counts {1, 2, 8} (+ SMM_THREADS), shuffled
+// bit-identical to the plain scalar sum of the absorbed (for the masked
+// protocol: the survivors' unmasked) inputs, tests/reference_sum.h, for both
+// aggregators, across thread counts {1, 2, 8} (+ SMM_THREADS), shuffled
 // absorb orders, per-participant vs tiled absorbs, dropout patterns, and
 // moduli spanning the full uint64 range — including 2^64 - 59, where a
 // naive `(acc + v) % m` accumulator silently wraps.
@@ -15,6 +16,7 @@
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "reference_sum.h"
 #include "secagg/secure_aggregator.h"
 
 namespace smm::secagg {
@@ -67,14 +69,13 @@ std::vector<size_t> ShuffledOrder(size_t n, uint64_t seed) {
   return order;
 }
 
-TEST(StreamingAggregatorTest, IdealMatchesBatchAcrossThreadsAndOrders) {
+TEST(StreamingAggregatorTest, IdealMatchesReferenceAcrossThreadsAndOrders) {
   const int n = 13;
   const size_t dim = 33;  // Deliberately not a multiple of the chunk count.
   IdealAggregator agg;
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 21 + m % 97);
-    auto batch = agg.Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto reference = ReferenceSum(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       // Shuffled per-participant absorbs.
@@ -87,19 +88,18 @@ TEST(StreamingAggregatorTest, IdealMatchesBatchAcrossThreadsAndOrders) {
       EXPECT_EQ((*stream)->absorbed(), inputs.size());
       auto streamed = (*stream)->Finalize();
       ASSERT_TRUE(streamed.ok());
-      EXPECT_EQ(*streamed, *batch) << "m=" << m << " threads=" << threads;
+      EXPECT_EQ(*streamed, reference) << "m=" << m << " threads=" << threads;
     }
   }
 }
 
-TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesBatch) {
+TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesReference) {
   const int n = 29;
   const size_t dim = 65;
   IdealAggregator agg;
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 4 + m % 89);
-    auto batch = agg.Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto reference = ReferenceSum(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       for (size_t tile : {size_t{1}, size_t{4}, size_t{7}, size_t{29}}) {
@@ -117,7 +117,7 @@ TEST(StreamingAggregatorTest, IdealTiledAbsorbMatchesBatch) {
         }
         auto streamed = (*stream)->Finalize();
         ASSERT_TRUE(streamed.ok());
-        EXPECT_EQ(*streamed, *batch)
+        EXPECT_EQ(*streamed, reference)
             << "m=" << m << " threads=" << threads << " tile=" << tile;
       }
     }
@@ -132,15 +132,14 @@ MaskedAggregator::Options BasicOptions(int n, int threshold) {
   return o;
 }
 
-TEST(StreamingAggregatorTest, MaskedMatchesBatchFullParticipation) {
+TEST(StreamingAggregatorTest, MaskedMatchesReferenceFullParticipation) {
   const int n = 10;
   const size_t dim = 41;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 4));
   ASSERT_TRUE(agg.ok());
   for (uint64_t m : TestModuli()) {
     const auto inputs = RandomInputs(n, dim, m, 7 + m % 83);
-    auto batch = (*agg)->Aggregate(inputs, m);
-    ASSERT_TRUE(batch.ok());
+    const auto reference = ReferenceSum(inputs, m);
     for (int threads : ThreadCounts()) {
       ThreadPool pool(threads);
       auto stream = (*agg)->Open(dim, m, &pool);
@@ -153,12 +152,12 @@ TEST(StreamingAggregatorTest, MaskedMatchesBatchFullParticipation) {
       }
       auto streamed = (*stream)->Finalize();
       ASSERT_TRUE(streamed.ok());
-      EXPECT_EQ(*streamed, *batch) << "m=" << m << " threads=" << threads;
+      EXPECT_EQ(*streamed, reference) << "m=" << m << " threads=" << threads;
     }
   }
 }
 
-TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
+TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesReference) {
   const int n = 9;
   const size_t dim = 26;
   auto agg = MaskedAggregator::Create(BasicOptions(n, 3));
@@ -183,8 +182,7 @@ TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
         ASSERT_TRUE(mi.ok());
         masked.push_back(std::move(*mi));
       }
-      auto reference = (*agg)->UnmaskSum(masked, survivors, dim, m);
-      ASSERT_TRUE(reference.ok());
+      const auto reference = ReferenceSumOf(inputs, survivors, m);
       for (int threads : ThreadCounts()) {
         ThreadPool pool(threads);
         auto stream = (*agg)->Open(dim, m, &pool);
@@ -197,7 +195,7 @@ TEST(StreamingAggregatorTest, MaskedDropoutRecoveryMatchesUnmaskSum) {
         }
         auto streamed = (*stream)->Finalize();
         ASSERT_TRUE(streamed.ok());
-        EXPECT_EQ(*streamed, *reference)
+        EXPECT_EQ(*streamed, reference)
             << "m=" << m << " threads=" << threads << " dropped="
             << dropped.size();
       }
@@ -213,17 +211,29 @@ TEST(StreamingAggregatorTest, MaskedStreamValidates) {
   ASSERT_TRUE(agg.ok());
   const auto inputs = RandomInputs(n, dim, m, 15);
 
+  // Open validates its parameters.
+  EXPECT_FALSE((*agg)->Open(0, m).ok());
+  EXPECT_FALSE((*agg)->Open(dim, 1).ok());
+  EXPECT_FALSE((*agg)->Open(dim, 0).ok());
+
   auto stream = (*agg)->Open(dim, m);
   ASSERT_TRUE(stream.ok());
-  // Out-of-range and duplicate participants are rejected.
+  // Out-of-range and duplicate participants are rejected, whether the
+  // duplicate sits inside one tile or arrives in a later absorb.
   EXPECT_FALSE((*stream)->Absorb(-1, inputs[0]).ok());
   EXPECT_FALSE((*stream)->Absorb(n, inputs[0]).ok());
+  EXPECT_FALSE((*stream)->AbsorbTile({0, 0}, {inputs[0], inputs[0]}).ok());
   ASSERT_TRUE((*stream)->Absorb(0, inputs[0]).ok());
   EXPECT_FALSE((*stream)->Absorb(0, inputs[0]).ok());
-  // Dimension mismatch is rejected.
+  // Dimension mismatch is rejected, alone or as one ragged row of a tile.
   EXPECT_FALSE((*stream)->Absorb(1, std::vector<uint64_t>(dim + 1, 0)).ok());
+  EXPECT_FALSE(
+      (*stream)->AbsorbTile({1, 2}, {inputs[1], std::vector<uint64_t>(3, 0)})
+          .ok());
+  EXPECT_EQ((*stream)->absorbed(), 1u);
   // One survivor is below the threshold of 2: Finalize must fail.
-  EXPECT_FALSE((*stream)->Finalize().ok());
+  EXPECT_EQ((*stream)->Finalize().status().code(),
+            StatusCode::kFailedPrecondition);
 
   // A failed Finalize still consumes the stream.
   EXPECT_FALSE((*stream)->Absorb(1, inputs[1]).ok());
@@ -245,9 +255,6 @@ TEST(StreamingAggregatorTest, MaskedRejectedTileLeavesStreamUntouched) {
     ASSERT_TRUE(mi.ok());
     masked.push_back(std::move(*mi));
   }
-  auto batch = (*agg)->Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
-
   auto stream = (*agg)->Open(dim, m);
   ASSERT_TRUE(stream.ok());
   // Duplicate inside the tile: rejected, nothing absorbed.
@@ -265,7 +272,7 @@ TEST(StreamingAggregatorTest, MaskedRejectedTileLeavesStreamUntouched) {
                   .ok());
   auto sum = (*stream)->Finalize();
   ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, *batch);
+  EXPECT_EQ(*sum, ReferenceSum(inputs, m));
 }
 
 TEST(StreamingAggregatorTest, StreamLifecycleErrors) {
@@ -279,9 +286,9 @@ TEST(StreamingAggregatorTest, StreamLifecycleErrors) {
 
   auto stream = agg.Open(dim, m);
   ASSERT_TRUE(stream.ok());
-  // Finalizing with nothing absorbed fails (the batch path rejects empty
-  // input lists the same way).
-  EXPECT_FALSE((*stream)->Finalize().ok());
+  // Finalizing with nothing absorbed fails: there is no sum to release.
+  EXPECT_EQ((*stream)->Finalize().status().code(),
+            StatusCode::kFailedPrecondition);
 
   stream = agg.Open(dim, m);
   ASSERT_TRUE(stream.ok());
@@ -298,8 +305,7 @@ TEST(StreamingAggregatorTest, IdealStreamReducesUnreducedEntries) {
   const uint64_t m = 1000;
   auto stream = agg.Open(2, m);
   ASSERT_TRUE(stream.ok());
-  // Entries at and above m are reduced once before accumulation, matching
-  // the batch path's tolerance for unreduced inputs.
+  // Entries at and above m are reduced once before accumulation.
   const std::vector<uint64_t> first = {m + 1, 999};
   const std::vector<uint64_t> second = {2 * m + 5, 2};
   ASSERT_TRUE((*stream)->Absorb(0, first).ok());
@@ -307,35 +313,7 @@ TEST(StreamingAggregatorTest, IdealStreamReducesUnreducedEntries) {
   auto sum = (*stream)->Finalize();
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(*sum, (std::vector<uint64_t>{6, 1}));
-}
-
-/// A minimal aggregator that only implements the batch interface, to cover
-/// the default buffering Open adapter.
-class BatchOnlyAggregator final : public SecureAggregator {
- public:
-  StatusOr<std::vector<uint64_t>> Aggregate(
-      const std::vector<std::vector<uint64_t>>& inputs, uint64_t m) override {
-    IdealAggregator ideal;
-    return ideal.Aggregate(inputs, m);
-  }
-};
-
-TEST(StreamingAggregatorTest, DefaultOpenBuffersAndDelegates) {
-  BatchOnlyAggregator agg;
-  const size_t dim = 16;
-  const uint64_t m = kLargePrime;
-  const auto inputs = RandomInputs(6, dim, m, 44);
-  IdealAggregator reference;
-  auto batch = reference.Aggregate(inputs, m);
-  ASSERT_TRUE(batch.ok());
-  auto stream = agg.Open(dim, m);
-  ASSERT_TRUE(stream.ok());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    ASSERT_TRUE((*stream)->Absorb(static_cast<int>(i), inputs[i]).ok());
-  }
-  auto streamed = (*stream)->Finalize();
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(*streamed, *batch);
+  EXPECT_EQ(*sum, ReferenceSum({first, second}, m));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "mechanisms/dgm_mechanism.h"
 #include "mechanisms/distributed_mechanism.h"
 #include "mechanisms/smm_mechanism.h"
+#include "reference_sum.h"
 #include "secagg/secure_aggregator.h"
 
 namespace smm::mechanisms {
@@ -171,11 +172,12 @@ TEST(SumPipelineFailureInjection, ZeroShardCountRejected) {
   EXPECT_EQ(sum.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
-  // The wire path RunDistributedSum now runs (tile-encode -> mask -> frame
-  // -> session -> stream) must be bit-identical to the former
-  // batch-materializing pipeline (encode everything, AggregateParallel,
-  // decode) at thread counts {1, 2, 8}, for both aggregators.
+TEST(SumPipelineDeterminism, SessionPathMatchesReferenceAtEveryThreadCount) {
+  // The wire path RunDistributedSum runs (tile-encode -> mask -> frame ->
+  // session -> stream) must be bit-identical to a hand-composed reference
+  // pipeline (encode everything, plain scalar sum from
+  // tests/reference_sum.h, decode) at thread counts {1, 2, 8}, for both
+  // aggregators.
   SmmMechanism::Options o;
   o.dim = 128;
   o.gamma = 16.0;
@@ -188,14 +190,14 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
   // More inputs than one session tile per thread count, so tiling kicks in.
   const auto inputs = data::SampleSphereDataset(100, 128, 1.0, data_rng);
 
-  // The batch path, composed by hand exactly as RunDistributedSum used to.
-  auto run_batch = [&](secagg::SecureAggregator& agg) {
+  // The reference path, composed by hand with no aggregator at all.
+  auto run_reference = [&] {
     auto mech = SmmMechanism::Create(o).value();
     RandomGenerator rng(42);
     std::vector<RandomGenerator> streams =
         MakeParticipantStreams(rng, inputs.size());
     auto encoded = EncodeBatchParallel(*mech, inputs, streams).value();
-    auto zm_sum = agg.Aggregate(encoded, mech->modulus()).value();
+    const auto zm_sum = secagg::ReferenceSum(encoded, mech->modulus());
     return mech->DecodeSum(zm_sum, static_cast<int>(inputs.size())).value();
   };
   auto run_session = [&](secagg::SecureAggregator& agg, int threads) {
@@ -205,10 +207,11 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
     return RunDistributedSum(*mech, agg, inputs, rng, &pool).value();
   };
 
+  const std::vector<double> reference = run_reference();
   secagg::IdealAggregator ideal;
-  const std::vector<double> batch = run_batch(ideal);
   for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(run_session(ideal, threads), batch) << threads << " threads";
+    EXPECT_EQ(run_session(ideal, threads), reference)
+        << threads << " threads";
   }
 
   // Masked protocol: masking + frame transport + deferred recovery must
@@ -219,7 +222,8 @@ TEST(SumPipelineDeterminism, SessionPathMatchesBatchPathAtEveryThreadCount) {
   mo.session_seed = 2;
   auto masked = secagg::MaskedAggregator::Create(mo).value();
   for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(run_session(*masked, threads), batch) << threads << " threads";
+    EXPECT_EQ(run_session(*masked, threads), reference)
+        << threads << " threads";
   }
 }
 
