@@ -167,11 +167,17 @@ StatusOr<MatrixReport> RunMatrix(const std::string& filter,
                         if (options.verbose) {
                           std::printf(
                               "  %s/%s shards=%zu threads=%d dim=%zu "
-                              "participants=%zu seconds=%.3e items/s=%.3e "
+                              "participants=%zu modulus=%s dropout=%g "
+                              "corrupt=%g seconds=%.3e items/s=%.3e "
                               "identical=%s\n",
                               name.c_str(), record.label.c_str(),
                               point.shards, point.threads, point.dim,
-                              point.participants, record.seconds,
+                              point.participants,
+                              point.modulus_class.empty()
+                                  ? "none"
+                                  : point.modulus_class.c_str(),
+                              point.dropout_rate, point.corrupt_frame_rate,
+                              record.seconds,
                               record.items_per_sec,
                               record.bit_identical ? "yes" : "NO");
                         }

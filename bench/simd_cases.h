@@ -111,6 +111,19 @@ class SimdCaseSet {
                                 frac_.data());
          },
          out(frac_), n * sizeof(double)});
+    // The same kernel at the length its only caller runs it:
+    // ScaleRoundStochasticInto's tile, into tile-sized scratch, n / tile
+    // times (n elements in all, like the whole-buffer case).
+    const size_t tile = n < simd::kScaleRoundTile ? n : simd::kScaleRoundTile;
+    cases_.push_back(
+        {"scale_round_prep_tile", {},
+         [this, n, tile](const simd::Kernels& k) {
+           for (size_t done = 0; done + tile <= n; done += tile) {
+             k.floor_fract_scaled(reals_.data(), tile, 64.0,
+                                  tile_flr_.data(), tile_frac_.data());
+           }
+         },
+         out(tile_frac_), tile * sizeof(double)});
     // One full stage at the cache-block span the transform's phase-1 stages
     // use (clamped so a short case still forms one butterfly).
     const size_t h = n / 2 < size_t{1024} ? n / 2 : size_t{1024};
@@ -146,6 +159,8 @@ class SimdCaseSet {
   std::vector<double> real_work_;
   std::vector<double> flr_;
   std::vector<double> frac_;
+  std::vector<double> tile_flr_ = std::vector<double>(simd::kScaleRoundTile);
+  std::vector<double> tile_frac_ = std::vector<double>(simd::kScaleRoundTile);
 
   std::vector<SimdCase> cases_;
 };

@@ -202,7 +202,7 @@ void ScaleRoundStochasticInto(const double* x, size_t n, double scale,
   // fraction, in coordinate order — the exact consumption pattern of the
   // historical rng.Bernoulli(frac) loop, including the quirk that a NaN
   // fraction draws and never rounds up).
-  constexpr size_t kTile = 256;
+  constexpr size_t kTile = kScaleRoundTile;
   double flr[kTile];
   double frac[kTile];
   for (size_t base = 0; base < n; base += kTile) {

@@ -184,6 +184,9 @@ inline void AddI64InPlace(int64_t* v, const int64_t* delta, size_t n) {
   Active().add_i64_inplace(v, delta, n);
 }
 
+/// Coordinates per floor_fract_scaled call in ScaleRoundStochasticInto.
+inline constexpr size_t kScaleRoundTile = 256;
+
 /// Stochastic rounding of scale * x into out: each coordinate rounds to
 /// floor + 1 with probability equal to its fractional part. Consumes `rng`
 /// exactly like the historical floor + Bernoulli loop: one UniformDouble

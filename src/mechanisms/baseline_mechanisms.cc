@@ -27,7 +27,8 @@ StatusOr<RotationCodec> MakeCodec(size_t dim, double gamma, uint64_t modulus,
 /// sampler lives in the heap-allocated mechanism and never moves, so the
 /// callback's pointer stays valid for the mechanism's lifetime.
 template <typename Sampler>
-FusedPerturbSpec L2ClipSpec(double gamma, double l2_bound, Sampler* sampler) {
+FusedPerturbSpec L2ClipSpec(double gamma, double l2_bound,
+                            const Sampler* sampler) {
   FusedPerturbSpec spec;
   spec.clip = FusedPerturbSpec::Clip::kL2;
   spec.l2_threshold = gamma * l2_bound;
@@ -42,7 +43,7 @@ FusedPerturbSpec L2ClipSpec(double gamma, double l2_bound, Sampler* sampler) {
 template <typename Options, typename Sampler>
 FusedPerturbSpec ConditionalRoundSpec(const Options& options,
                                       double norm_bound, bool track_rejections,
-                                      Sampler* sampler) {
+                                      const Sampler* sampler) {
   FusedPerturbSpec spec =
       L2ClipSpec(options.gamma, options.l2_bound, sampler);
   spec.conditional_round = true;

@@ -12,7 +12,7 @@ namespace {
 /// the discrete Gaussian. The noiser lives in the heap-allocated mechanism
 /// and never moves, so the callback's pointer stays valid.
 FusedPerturbSpec MixtureSpec(const DgmMechanism::Options& options,
-                             DiscreteGaussianMixtureNoiser* noiser) {
+                             const DiscreteGaussianMixtureNoiser* noiser) {
   FusedPerturbSpec spec;
   spec.clip = FusedPerturbSpec::Clip::kSmm;
   spec.smm_c = options.c;
@@ -33,7 +33,7 @@ StatusOr<DiscreteGaussianMixtureNoiser> DiscreteGaussianMixtureNoiser::Create(
 }
 
 int64_t DiscreteGaussianMixtureNoiser::Perturb(double x,
-                                               RandomGenerator& rng) {
+                                               RandomGenerator& rng) const {
   const double floor_x = std::floor(x);
   const double p = x - floor_x;
   int64_t base = static_cast<int64_t>(floor_x);

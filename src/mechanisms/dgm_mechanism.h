@@ -24,12 +24,12 @@ class DiscreteGaussianMixtureNoiser {
       sampling::SamplerMode mode = sampling::SamplerMode::kApproximate);
 
   /// Perturbs one value: floor(x) + Bernoulli(frac) + NZ(0, sigma^2).
-  int64_t Perturb(double x, RandomGenerator& rng);
+  int64_t Perturb(double x, RandomGenerator& rng) const;
 
   /// n i.i.d. discrete-Gaussian draws into out[0..n), for the encode
   /// pipeline's blocked noise sweep of Algorithm 12 (dDGM; same blockwise
   /// RNG-consumption guarantee as SkellamMixtureNoiser::SampleNoiseBlock).
-  void SampleNoiseBlock(size_t n, int64_t* out, RandomGenerator& rng) {
+  void SampleNoiseBlock(size_t n, int64_t* out, RandomGenerator& rng) const {
     sampler_.SampleBlock(n, out, rng);
   }
 

@@ -16,7 +16,7 @@ namespace {
 /// then Skellam noise. The noiser lives in the heap-allocated mechanism and
 /// never moves, so the callback's pointer stays valid for its lifetime.
 FusedPerturbSpec MixtureSpec(const SmmMechanism::Options& options,
-                             SkellamMixtureNoiser* noiser) {
+                             const SkellamMixtureNoiser* noiser) {
   FusedPerturbSpec spec;
   spec.clip = FusedPerturbSpec::Clip::kSmm;
   spec.smm_c = options.c;
@@ -36,7 +36,7 @@ StatusOr<SkellamMixtureNoiser> SkellamMixtureNoiser::Create(
   return SkellamMixtureNoiser(std::move(sampler));
 }
 
-int64_t SkellamMixtureNoiser::Perturb(double x, RandomGenerator& rng) {
+int64_t SkellamMixtureNoiser::Perturb(double x, RandomGenerator& rng) const {
   const double floor_x = std::floor(x);
   const double p = x - floor_x;  // In [0, 1).
   int64_t base = static_cast<int64_t>(floor_x);
@@ -45,7 +45,7 @@ int64_t SkellamMixtureNoiser::Perturb(double x, RandomGenerator& rng) {
 }
 
 std::vector<int64_t> SkellamMixtureNoiser::PerturbVector(
-    const std::vector<double>& x, RandomGenerator& rng) {
+    const std::vector<double>& x, RandomGenerator& rng) const {
   // Phase 1 (Lines 5-8 of Algorithm 2): the floor/ceil Bernoulli mixture is
   // exactly stochastic rounding.
   std::vector<int64_t> out = StochasticRound(x, rng);

@@ -26,19 +26,19 @@ class SkellamMixtureNoiser {
       sampling::SamplerMode mode = sampling::SamplerMode::kApproximate);
 
   /// Perturbs a single value (one iteration of Algorithm 1's loop body).
-  int64_t Perturb(double x, RandomGenerator& rng);
+  int64_t Perturb(double x, RandomGenerator& rng) const;
 
   /// Perturbs every coordinate independently (Algorithm 2 / dSMM): the
   /// rounding phase (floor + Bernoulli, per coordinate) runs first, then
   /// one Skellam SampleBlock — the same RNG order as the encode pipeline.
   std::vector<int64_t> PerturbVector(const std::vector<double>& x,
-                                     RandomGenerator& rng);
+                                     RandomGenerator& rng) const;
 
   /// The noise half of PerturbVector on its own — n i.i.d. Skellam draws
   /// into out[0..n) — exposed for the encode pipeline's blocked noise
   /// sweep. SampleBlock draws scalars in order, so blockwise calls
   /// consume the rng identically to one whole-vector call.
-  void SampleNoiseBlock(size_t n, int64_t* out, RandomGenerator& rng) {
+  void SampleNoiseBlock(size_t n, int64_t* out, RandomGenerator& rng) const {
     sampler_.SampleBlock(n, out, rng);
   }
 

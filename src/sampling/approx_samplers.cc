@@ -1,5 +1,6 @@
 #include "sampling/approx_samplers.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -27,19 +28,57 @@ double LogGammaPositive(double x) {
 
 }  // namespace
 
-int64_t SamplePoissonApprox(double lambda, RandomGenerator& rng) {
+// Self-contained Poisson sampler (no libstdc++ distribution objects): the
+// standard ones route through glibc lgamma(), whose global-signgam write
+// races under concurrent EncodeBatch shards, and their internal Gaussian
+// caches leak state across draws, breaking stream determinism.
+PoissonApprox::PoissonApprox(double lambda) : lambda_(lambda) {
   assert(lambda >= 0.0);
-  if (lambda == 0.0) return 0;
-  // Self-contained Poisson sampler (no libstdc++ distribution objects): the
-  // standard ones route through glibc lgamma(), whose global-signgam write
-  // races under concurrent EncodeBatch shards, and their internal Gaussian
-  // caches leak state across draws, breaking stream determinism.
   if (lambda < 10.0) {
+    knuth_threshold_ = std::exp(-lambda);
+    return;
+  }
+  log_lambda_ = std::log(lambda);
+  b_ = 0.931 + 2.53 * std::sqrt(lambda);
+  a_ = -0.059 + 0.02483 * b_;
+  const double inv_alpha = 1.1239 + 1.1328 / (b_ - 3.4);
+  v_r_ = 0.9277 - 3.6224 / (b_ - 2.0);
+  log_inv_alpha_ = std::log(inv_alpha);
+  // Proposals that reach the acceptance test concentrate within a few
+  // sqrt(lambda) (the target's standard deviation) of lambda. The rare ones
+  // outside the table fall back to LogPmfDirect, which every entry equals.
+  const double half_width =
+      std::min(12.0 * std::sqrt(lambda) + 16.0,
+               static_cast<double>(kMaxTableSize / 2 - 1));
+  table_first_k_ = std::max(0.0, std::floor(lambda - half_width));
+  const double last_k = std::floor(lambda + half_width);
+  log_pmf_.resize(static_cast<size_t>(last_k - table_first_k_) + 1);
+  for (size_t i = 0; i < log_pmf_.size(); ++i) {
+    log_pmf_[i] = LogPmfDirect(table_first_k_ + static_cast<double>(i),
+                               log_lambda_, lambda_);
+  }
+}
+
+double PoissonApprox::LogPmfDirect(double k, double log_lambda,
+                                   double lambda) {
+  return k * log_lambda - lambda - LogGammaPositive(k + 1.0);
+}
+
+double PoissonApprox::LogPmf(double k) const {
+  const double offset = k - table_first_k_;
+  if (offset >= 0.0 && offset < static_cast<double>(log_pmf_.size())) {
+    return log_pmf_[static_cast<size_t>(offset)];
+  }
+  return LogPmfDirect(k, log_lambda_, lambda_);
+}
+
+int64_t PoissonApprox::Sample(RandomGenerator& rng) const {
+  if (lambda_ == 0.0) return 0;
+  if (lambda_ < 10.0) {
     // Knuth's multiplication method: expected lambda + 1 uniforms.
-    const double threshold = std::exp(-lambda);
     int64_t k = 0;
     double product = rng.UniformDouble();
-    while (product > threshold) {
+    while (product > knuth_threshold_) {
       ++k;
       product *= rng.UniformDouble();
     }
@@ -47,51 +86,43 @@ int64_t SamplePoissonApprox(double lambda, RandomGenerator& rng) {
   }
   // Hormann's transformed rejection with squeeze (PTRS), the standard
   // O(1) method for lambda >= 10 (used by NumPy).
-  const double log_lambda = std::log(lambda);
-  const double b = 0.931 + 2.53 * std::sqrt(lambda);
-  const double a = -0.059 + 0.02483 * b;
-  const double inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
-  const double v_r = 0.9277 - 3.6224 / (b - 2.0);
   while (true) {
     const double u = rng.UniformDouble() - 0.5;
     const double v = rng.UniformDouble();
     const double us = 0.5 - std::abs(u);
-    const double k = std::floor((2.0 * a / us + b) * u + lambda + 0.43);
-    if (us >= 0.07 && v <= v_r) return static_cast<int64_t>(k);
+    const double k = std::floor((2.0 * a_ / us + b_) * u + lambda_ + 0.43);
+    if (us >= 0.07 && v <= v_r_) return static_cast<int64_t>(k);
     if (k < 0.0 || (us < 0.013 && v > us)) continue;
-    if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=
-        k * log_lambda - lambda - LogGammaPositive(k + 1.0)) {
+    if (std::log(v) + log_inv_alpha_ - std::log(a_ / (us * us) + b_) <=
+        LogPmf(k)) {
       return static_cast<int64_t>(k);
     }
   }
 }
 
-int64_t SampleSkellamApprox(double lambda, RandomGenerator& rng) {
-  // Named draws pin the order; operand order of `-` is unspecified.
-  const int64_t first = SamplePoissonApprox(lambda, rng);
-  const int64_t second = SamplePoissonApprox(lambda, rng);
-  return first - second;
+DiscreteGaussianApprox::DiscreteGaussianApprox(double sigma)
+    : t_(static_cast<int64_t>(std::floor(sigma)) + 1),
+      sigma2_(sigma * sigma),
+      center_(sigma2_ / t_),
+      geo_success_(1.0 - std::exp(-1.0)) {
+  assert(sigma > 0.0);
 }
 
-int64_t SampleDiscreteGaussianApprox(double sigma, RandomGenerator& rng) {
-  assert(sigma > 0.0);
-  const int64_t t = static_cast<int64_t>(std::floor(sigma)) + 1;
-  const double sigma2 = sigma * sigma;
-  const double geo_success = 1.0 - std::exp(-1.0);
+int64_t DiscreteGaussianApprox::Sample(RandomGenerator& rng) const {
   while (true) {
     // Discrete Laplace proposal with scale t, floating-point variant of
     // SampleDiscreteLaplaceExact.
     const int64_t u =
-        static_cast<int64_t>(rng.UniformDouble() * static_cast<double>(t));
-    if (!rng.Bernoulli(std::exp(-static_cast<double>(u) / t))) continue;
+        static_cast<int64_t>(rng.UniformDouble() * static_cast<double>(t_));
+    if (!rng.Bernoulli(std::exp(-static_cast<double>(u) / t_))) continue;
     int64_t v = 0;
-    while (!rng.Bernoulli(geo_success)) ++v;
-    const int64_t x = u + t * v;
+    while (!rng.Bernoulli(geo_success_)) ++v;
+    const int64_t x = u + t_ * v;
     const bool negative = rng.Bernoulli(0.5);
     if (negative && x == 0) continue;
     const int64_t y = negative ? -x : x;
-    const double dev = std::abs(static_cast<double>(y)) - sigma2 / t;
-    if (rng.Bernoulli(std::exp(-dev * dev / (2.0 * sigma2)))) return y;
+    const double dev = std::abs(static_cast<double>(y)) - center_;
+    if (rng.Bernoulli(std::exp(-dev * dev / (2.0 * sigma2_)))) return y;
   }
 }
 

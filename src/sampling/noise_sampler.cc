@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sampling/approx_samplers.h"
 #include "sampling/discrete_gaussian_sampler.h"
 #include "sampling/exact_samplers.h"
 
@@ -22,18 +21,16 @@ StatusOr<SkellamSampler> SkellamSampler::Create(double lambda,
   return SkellamSampler(lambda, mode, r);
 }
 
-int64_t SkellamSampler::Sample(RandomGenerator& rng) {
-  if (mode_ == SamplerMode::kApproximate) {
-    return SampleSkellamApprox(lambda_, rng);
-  }
+int64_t SkellamSampler::Sample(RandomGenerator& rng) const {
+  if (mode_ == SamplerMode::kApproximate) return SampleApprox(rng);
   // Exact path: parameters were validated at Create time.
   return SampleSkellamExact(rational_lambda_, rng).value();
 }
 
 void SkellamSampler::SampleBlock(size_t n, int64_t* out,
-                                 RandomGenerator& rng) {
+                                 RandomGenerator& rng) const {
   if (mode_ == SamplerMode::kApproximate) {
-    for (size_t i = 0; i < n; ++i) out[i] = SampleSkellamApprox(lambda_, rng);
+    for (size_t i = 0; i < n; ++i) out[i] = SampleApprox(rng);
     return;
   }
   for (size_t i = 0; i < n; ++i) {
@@ -54,19 +51,15 @@ StatusOr<DiscreteGaussianSampler> DiscreteGaussianSampler::Create(
   return DiscreteGaussianSampler(sigma, mode, r);
 }
 
-int64_t DiscreteGaussianSampler::Sample(RandomGenerator& rng) {
-  if (mode_ == SamplerMode::kApproximate) {
-    return SampleDiscreteGaussianApprox(sigma_, rng);
-  }
+int64_t DiscreteGaussianSampler::Sample(RandomGenerator& rng) const {
+  if (mode_ == SamplerMode::kApproximate) return approx_.Sample(rng);
   return SampleDiscreteGaussianExact(rational_sigma2_, rng).value();
 }
 
 void DiscreteGaussianSampler::SampleBlock(size_t n, int64_t* out,
-                                          RandomGenerator& rng) {
+                                          RandomGenerator& rng) const {
   if (mode_ == SamplerMode::kApproximate) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = SampleDiscreteGaussianApprox(sigma_, rng);
-    }
+    for (size_t i = 0; i < n; ++i) out[i] = approx_.Sample(rng);
     return;
   }
   for (size_t i = 0; i < n; ++i) {

@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "common/random.h"
 #include "common/status.h"
+#include "sampling/approx_samplers.h"
 #include "sampling/rational.h"
 
 namespace smm::sampling {
@@ -19,6 +21,9 @@ enum class SamplerMode { kApproximate, kExact };
 ///
 /// In exact mode, lambda is rationalized with denominator <= max_denominator
 /// (the sampled distribution is exactly Sk(p/q, p/q) for that rational).
+/// In approximate mode, Create builds one PoissonApprox for lambda and every
+/// draw is the difference of two of its samples. The sampler is immutable
+/// after Create, so one instance serves all encode threads.
 class SkellamSampler {
  public:
   /// Creates a sampler. lambda must be > 0.
@@ -26,16 +31,15 @@ class SkellamSampler {
       double lambda, SamplerMode mode = SamplerMode::kApproximate,
       int64_t max_denominator = 1000000);
 
-  /// Draws one variate. Non-const: the approximate path keeps distribution
-  /// state for speed.
-  int64_t Sample(RandomGenerator& rng);
+  /// Draws one variate.
+  int64_t Sample(RandomGenerator& rng) const;
 
   /// Fills out[0..n) with n i.i.d. draws, amortizing the mode dispatch and
   /// adapter setup over the whole block. Consumes the RNG exactly as n
   /// scalar Sample calls would (in particular, exact mode draws the
   /// identical RandInt sequence), so block and scalar encodes are
   /// bit-compatible.
-  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng);
+  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng) const;
 
   double lambda() const { return lambda_; }
   SamplerMode mode() const { return mode_; }
@@ -43,19 +47,27 @@ class SkellamSampler {
   double variance() const { return 2.0 * lambda_; }
 
  private:
-  // No distribution-object state: the approximate path uses the
-  // self-contained SamplePoissonApprox (libstdc++'s poisson_distribution
-  // caches Gaussian state across draws and calls glibc lgamma(), whose
-  // global-signgam write races under concurrent EncodeBatch shards).
   SkellamSampler(double lambda, SamplerMode mode, Rational rational_lambda)
-      : lambda_(lambda), mode_(mode), rational_lambda_(rational_lambda) {}
+      : lambda_(lambda), mode_(mode), rational_lambda_(rational_lambda) {
+    if (mode == SamplerMode::kApproximate) poisson_.emplace(lambda);
+  }
+
+  /// Approximate mode's draw: Sk(lambda, lambda) as first - second.
+  int64_t SampleApprox(RandomGenerator& rng) const {
+    // Named draws pin the order; operand order of `-` is unspecified.
+    const int64_t first = poisson_->Sample(rng);
+    const int64_t second = poisson_->Sample(rng);
+    return first - second;
+  }
 
   double lambda_;
   SamplerMode mode_;
   Rational rational_lambda_;
+  std::optional<PoissonApprox> poisson_;  ///< Approximate mode only.
 };
 
-/// Samples discrete Gaussian noise N_Z(0, sigma^2) in either mode.
+/// Samples discrete Gaussian noise N_Z(0, sigma^2) in either mode. Like
+/// SkellamSampler, it is immutable after Create.
 class DiscreteGaussianSampler {
  public:
   /// Creates a sampler. sigma must be > 0.
@@ -63,11 +75,11 @@ class DiscreteGaussianSampler {
       double sigma, SamplerMode mode = SamplerMode::kApproximate,
       int64_t max_denominator = 1000000);
 
-  int64_t Sample(RandomGenerator& rng);
+  int64_t Sample(RandomGenerator& rng) const;
 
   /// Block variant of Sample; same RNG-consumption guarantee as
   /// SkellamSampler::SampleBlock.
-  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng);
+  void SampleBlock(size_t n, int64_t* out, RandomGenerator& rng) const;
 
   double sigma() const { return sigma_; }
   SamplerMode mode() const { return mode_; }
@@ -76,11 +88,15 @@ class DiscreteGaussianSampler {
  private:
   DiscreteGaussianSampler(double sigma, SamplerMode mode,
                           Rational rational_sigma2)
-      : sigma_(sigma), mode_(mode), rational_sigma2_(rational_sigma2) {}
+      : sigma_(sigma),
+        mode_(mode),
+        rational_sigma2_(rational_sigma2),
+        approx_(sigma) {}
 
   double sigma_;
   SamplerMode mode_;
   Rational rational_sigma2_;
+  DiscreteGaussianApprox approx_;  ///< Used in approximate mode.
 };
 
 /// Samples centered binomial noise Binomial(trials, 1/2) - trials/2, the

@@ -14,9 +14,10 @@ TEST(ApproxPoissonTest, MomentsMatch) {
   RandomGenerator rng(1);
   constexpr int kN = 100000;
   const double lambda = 4.2;
+  const PoissonApprox poisson(lambda);
   double sum = 0.0, sum_sq = 0.0;
   for (int i = 0; i < kN; ++i) {
-    const int64_t v = SamplePoissonApprox(lambda, rng);
+    const int64_t v = poisson.Sample(rng);
     ASSERT_GE(v, 0);
     sum += static_cast<double>(v);
     sum_sq += static_cast<double>(v) * v;
@@ -30,9 +31,10 @@ TEST(ApproxPoissonTest, LargeLambda) {
   RandomGenerator rng(2);
   constexpr int kN = 20000;
   const double lambda = 1e6;
+  const PoissonApprox poisson(lambda);
   double sum = 0.0;
   for (int i = 0; i < kN; ++i) {
-    sum += static_cast<double>(SamplePoissonApprox(lambda, rng));
+    sum += static_cast<double>(poisson.Sample(rng));
   }
   EXPECT_NEAR(sum / kN / lambda, 1.0, 0.001);
 }
@@ -41,9 +43,10 @@ TEST(ApproxSkellamTest, ZeroMeanVarianceTwoLambda) {
   RandomGenerator rng(3);
   constexpr int kN = 100000;
   const double lambda = 3.0;
+  const auto sampler = SkellamSampler::Create(lambda).value();
   double sum = 0.0, sum_sq = 0.0;
   for (int i = 0; i < kN; ++i) {
-    const int64_t v = SampleSkellamApprox(lambda, rng);
+    const int64_t v = sampler.Sample(rng);
     sum += static_cast<double>(v);
     sum_sq += static_cast<double>(v) * v;
   }
@@ -57,9 +60,10 @@ TEST_P(ApproxDiscreteGaussianTest, MomentsMatch) {
   const double sigma = GetParam();
   RandomGenerator rng(static_cast<uint64_t>(sigma * 100) + 5);
   constexpr int kN = 60000;
+  const DiscreteGaussianApprox sampler(sigma);
   double sum = 0.0, sum_sq = 0.0;
   for (int i = 0; i < kN; ++i) {
-    const int64_t v = SampleDiscreteGaussianApprox(sigma, rng);
+    const int64_t v = sampler.Sample(rng);
     sum += static_cast<double>(v);
     sum_sq += static_cast<double>(v) * v;
   }
